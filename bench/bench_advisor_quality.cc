@@ -12,7 +12,7 @@
 #include "bench_util.h"
 #include "advisor/advisor.h"
 #include "advisor/cost_model.h"
-#include "advisor/what_if.h"
+#include "estimator/engine.h"
 #include "common/format.h"
 #include "datagen/tpch/tables.h"
 #include "index/index.h"
@@ -99,15 +99,24 @@ void Run() {
       s.config.index = c.index;
       s.config.scheme = c.scheme;
       if (use_estimates) {
-        SampleCFOptions options;
-        options.fraction = 0.02;
+        // A fresh engine per candidate: each compressed candidate draws its
+        // own sample from the shared stream.
+        EstimationEngineOptions options;
+        options.base.fraction = 0.02;
+        options.rng = &rng;
+        EstimationEngine engine(*c.table, options);
         CandidateConfiguration config;
         config.table_name = c.table_name;
         config.index = c.index;
         config.scheme = c.scheme;
-        SizedCandidate est = bench::CheckResult(
-            EstimateCandidateSize(*c.table, config, options, &rng),
-            "estimate");
+        SizedCandidate est;
+        if (IsUncompressedScheme(config.scheme)) {
+          est = bench::CheckResult(engine.EstimateExact(config), "estimate");
+        } else {
+          auto epoch = bench::CheckResult(engine.PinEpoch(), "draw sample");
+          est = bench::CheckResult(engine.EstimateAt(*epoch, config),
+                                   "estimate");
+        }
         s.estimated_bytes = est.estimated_bytes;
         s.estimated_cf = est.estimated_cf;
       } else {

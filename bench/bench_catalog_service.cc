@@ -227,23 +227,31 @@ void RunDeltaRefresh(bench::JsonEmitter* json) {
 
   // Incremental: draw on the base, grow, NotifyAppend, re-estimate.
   EstimationEngine incremental(*growing, options);
-  bench::CheckResult(incremental.EstimateCF(desc, scheme), "initial");
+  {
+    const auto epoch = bench::CheckResult(incremental.PinEpoch(), "draw");
+    bench::CheckResult(incremental.EstimateCFAt(*epoch, desc, scheme),
+                       "initial");
+  }
   for (RowId id = base_rows; id < base_rows + delta; ++id) {
     bench::CheckOk(growing->AppendEncodedRow(table->row(id)), "append");
   }
   bench::Timer refresh_timer;
   bench::CheckOk(incremental.NotifyAppend({base_rows, base_rows + delta}),
                  "NotifyAppend");
+  const auto refreshed_epoch =
+      bench::CheckResult(incremental.PinEpoch(), "pin refreshed");
   const SampleCFResult refreshed = bench::CheckResult(
-      incremental.EstimateCF(desc, scheme), "re-estimate");
+      incremental.EstimateCFAt(*refreshed_epoch, desc, scheme),
+      "re-estimate");
   const double refresh_seconds = refresh_timer.Seconds();
 
   // Full re-draw: a fresh engine over the grown table scans all n + delta
   // rows to draw the (identical) reservoir, then estimates.
   EstimationEngine fresh(*table, options);
   bench::Timer redraw_timer;
-  const SampleCFResult redrawn =
-      bench::CheckResult(fresh.EstimateCF(desc, scheme), "fresh estimate");
+  const auto fresh_epoch = bench::CheckResult(fresh.PinEpoch(), "fresh draw");
+  const SampleCFResult redrawn = bench::CheckResult(
+      fresh.EstimateCFAt(*fresh_epoch, desc, scheme), "fresh estimate");
   const double redraw_seconds = redraw_timer.Seconds();
 
   const bool equal = refreshed.cf.value == redrawn.cf.value;

@@ -15,7 +15,7 @@
 
 #include "bench_util.h"
 #include "advisor/cost_model.h"
-#include "advisor/what_if.h"
+#include "estimator/engine.h"
 #include "common/format.h"
 #include "datagen/table_gen.h"
 
@@ -37,10 +37,12 @@ void Run() {
                     n, 77),
       "generate");
 
-  // Size both physical variants from 1% samples.
-  SampleCFOptions options;
-  options.fraction = 0.01;
-  Random rng(5);
+  // Size both physical variants from one 1% sample (the uncompressed
+  // variant is schema arithmetic and draws nothing).
+  EstimationEngineOptions options;
+  options.base.fraction = 0.01;
+  options.seed = 5;
+  EstimationEngine engine(*table, options);
   CandidateConfiguration uncompressed_config;
   uncompressed_config.table_name = "t";
   uncompressed_config.index = {"cx", {"k"}, /*clustered=*/true};
@@ -51,11 +53,10 @@ void Run() {
       CompressionScheme::Uniform(CompressionType::kPrefixDictionary);
 
   SizedCandidate uncompressed = bench::CheckResult(
-      EstimateCandidateSize(*table, uncompressed_config, options, &rng),
-      "size uncompressed");
+      engine.EstimateExact(uncompressed_config), "size uncompressed");
+  auto epoch = bench::CheckResult(engine.PinEpoch(), "draw sample");
   SizedCandidate compressed = bench::CheckResult(
-      EstimateCandidateSize(*table, compressed_config, options, &rng),
-      "size compressed");
+      engine.EstimateAt(*epoch, compressed_config), "size compressed");
   std::printf("estimated sizes: uncompressed %s, compressed %s (CF' = %s)\n\n",
               HumanBytes(uncompressed.estimated_bytes).c_str(),
               HumanBytes(compressed.estimated_bytes).c_str(),

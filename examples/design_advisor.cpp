@@ -15,7 +15,6 @@
 
 #include "advisor/advisor.h"
 #include "advisor/cost_model.h"
-#include "advisor/what_if.h"
 #include "common/format.h"
 #include "datagen/tpch/tables.h"
 
@@ -67,12 +66,21 @@ int main() {
   };
 
   // Two variants per index: uncompressed and page-dictionary compressed.
-  // Sizes come from SampleCF; benefits from the cost model on those sizes.
+  // Sizes come from SampleCF (one sample per index, drawn from one shared
+  // stream); benefits from the cost model on those sizes.
   std::vector<SizedCandidate> sized;
-  SampleCFOptions options;
-  options.fraction = 0.02;
+  EstimationEngineOptions options;
+  options.base.fraction = 0.02;
   Random rng(99);
+  options.rng = &rng;
   for (const Spec& spec : specs) {
+    EstimationEngine engine(*spec.table, options);
+    auto epoch = engine.PinEpoch();
+    if (!epoch.ok()) {
+      std::fprintf(stderr, "sampling failed: %s\n",
+                   epoch.status().ToString().c_str());
+      return 1;
+    }
     for (bool compressed : {false, true}) {
       CandidateConfiguration config;
       config.table_name = spec.table_name;
@@ -80,7 +88,8 @@ int main() {
       config.scheme = CompressionScheme::Uniform(
           compressed ? CompressionType::kDictionaryPage
                      : CompressionType::kNone);
-      auto result = EstimateCandidateSize(*spec.table, config, options, &rng);
+      auto result = compressed ? engine.EstimateAt(**epoch, config)
+                               : engine.EstimateExact(config);
       if (!result.ok()) {
         std::fprintf(stderr, "sizing failed: %s\n",
                      result.status().ToString().c_str());

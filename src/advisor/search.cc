@@ -669,74 +669,83 @@ std::vector<SearchItem> BuildItems(
   return items;
 }
 
-/// The shared lazy pass: one (engine, candidate-index group) per table.
-/// `pool` fans the coarse estimates out — across tables when there are
-/// several groups, across candidates inside a single group otherwise
-/// (never nested, mirroring EstimateAllAdaptive).
-Result<AdvisorRecommendation> LazyAdviseImpl(
-    std::vector<std::pair<EstimationEngine*, std::vector<size_t>>> groups,
+}  // namespace
+
+Result<AdvisorRecommendation> AdviseConfigurationsLazy(
+    CatalogEstimationService& service,
     std::span<const CandidateConfiguration> candidates,
-    uint64_t storage_bound, const PrecisionTarget& target, ThreadPool* pool,
-    LazyAdvisorStats* stats_out) {
+    uint64_t storage_bound, const PrecisionTarget& target,
+    LazyAdvisorStats* stats) {
+  if (candidates.empty()) {
+    if (stats != nullptr) *stats = LazyAdvisorStats{};
+    AdvisorRecommendation rec;
+    rec.storage_bound = storage_bound;
+    return rec;
+  }
+  CFEST_ASSIGN_OR_RETURN(
+      std::vector<CatalogEstimationService::TableGroup> groups,
+      service.GroupByTable(candidates));
   trace::Span advise_span("advisor.lazy_advise");
-  LazyRunCounters stats;
+  // The coarse estimates fan across the shared pool — across tables when
+  // there are several groups, across candidates inside a single group
+  // otherwise (never nested, mirroring EstimateAllAdaptive).
+  ThreadPool* pool =
+      service.options().num_threads == 1 ? nullptr : service.shared_pool();
+  LazyRunCounters counters;
 
   // One refiner per table engine (validates the target once per table).
   std::map<std::string, CandidateRefiner> refiners;
-  for (const auto& [engine, members] : groups) {
-    const std::string& name = candidates[members[0]].table_name;
+  for (const CatalogEstimationService::TableGroup& group : groups) {
     CFEST_ASSIGN_OR_RETURN(CandidateRefiner refiner,
-                           CandidateRefiner::Make(*engine, target));
-    refiners.emplace(name, std::move(refiner));
+                           CandidateRefiner::Make(*group.engine, target));
+    refiners.emplace(group.engine->options().table_name, std::move(refiner));
   }
   auto refiner_for = [&](const std::string& table) -> CandidateRefiner* {
     auto it = refiners.find(table);
-    if (it != refiners.end()) return &it->second;
-    // Single-engine pass: every candidate shares the one refiner
-    // regardless of its (reporting-only) table name.
-    return refiners.size() == 1 ? &refiners.begin()->second : nullptr;
+    return it != refiners.end() ? &it->second : nullptr;
   };
 
   // Coarse pass: grow each table's sample to the first-round floor
   // (serial — growth mutates the engine), then estimate every candidate
   // once at that coarse sample.
-  for (const auto& [engine, members] : groups) {
-    CandidateRefiner* refiner = refiner_for(candidates[members[0]].table_name);
-    CFEST_RETURN_NOT_OK(
-        engine
-            ->GrowSample(std::min(refiner->row_cap(),
-                                  std::max<uint64_t>(1, target.min_rows)))
-            .status());
-    stats.coarse_rows.Add(engine->sample_rows());
+  for (const CatalogEstimationService::TableGroup& group : groups) {
+    CandidateRefiner* refiner = refiner_for(group.engine->options().table_name);
+    CFEST_ASSIGN_OR_RETURN(
+        std::shared_ptr<const SampleEpoch> epoch,
+        group.engine->GrowSampleToEpoch(std::min(
+            refiner->row_cap(), std::max<uint64_t>(1, target.min_rows))));
+    counters.coarse_rows.Add(epoch->sample_rows());
   }
   std::vector<AdaptiveCandidateResult> coarse(candidates.size());
   std::vector<uint64_t> floors(candidates.size(), 0);
   const bool fan_tables = groups.size() > 1;
   CFEST_RETURN_NOT_OK(StatusParallelFor(
       fan_tables ? pool : nullptr, groups.size(), [&](uint64_t g) -> Status {
-        const auto& [engine, members] = groups[static_cast<size_t>(g)];
+        const CatalogEstimationService::TableGroup& group =
+            groups[static_cast<size_t>(g)];
         CandidateRefiner* refiner =
-            refiner_for(candidates[members[0]].table_name);
+            refiner_for(group.engine->options().table_name);
         return StatusParallelFor(
-            fan_tables ? nullptr : pool, members.size(),
+            fan_tables ? nullptr : pool, group.members.size(),
             [&](uint64_t k) -> Status {
-              const size_t i = members[static_cast<size_t>(k)];
+              const size_t i = group.members[static_cast<size_t>(k)];
               CFEST_ASSIGN_OR_RETURN(
                   coarse[i], refiner->EstimateAtCurrentSample(candidates[i]));
-              floors[i] = SizingFloorRows(
-                  *engine, coarse[i].sized.uncompressed_bytes, coarse[i].cf);
+              floors[i] = SizingFloorRows(*group.engine,
+                                          coarse[i].sized.uncompressed_bytes,
+                                          coarse[i].cf);
               return Status::OK();
             });
       }));
 
   // Search with targeted refinement.
-  ItemRefinery refinery(refiner_for, &stats);
+  ItemRefinery refinery(refiner_for, &counters);
   LazySearch search(BuildItems(candidates, coarse, floors), storage_bound,
-                    &refinery, &stats);
-  stats.candidates.Add(search.items().size());
+                    &refinery, &counters);
+  counters.candidates.Add(search.items().size());
   Result<AdvisorRecommendation> rec = search.Run();
   for (const SearchItem& item : search.items()) {
-    stats.total_rows_sized.Add(item.rows_sampled);
+    counters.total_rows_sized.Add(item.rows_sampled);
   }
   if (rec.ok() && rec->total_bytes > storage_bound) {
     // Mid-search refinement can move an already-taken candidate's bounds
@@ -758,79 +767,8 @@ Result<AdvisorRecommendation> LazyAdviseImpl(
                                 OrderCandidatesForSelection(final_sized),
                                 storage_bound);
   }
-  if (stats_out != nullptr) *stats_out = stats.ToStats();
+  if (stats != nullptr) *stats = counters.ToStats();
   return rec;
-}
-
-}  // namespace
-
-Result<AdvisorRecommendation> AdviseConfigurationsLazy(
-    EstimationEngine& engine,
-    std::span<const CandidateConfiguration> candidates,
-    uint64_t storage_bound, const PrecisionTarget& target,
-    LazyAdvisorStats* stats) {
-  if (candidates.empty()) {
-    if (stats != nullptr) *stats = LazyAdvisorStats{};
-    AdvisorRecommendation rec;
-    rec.storage_bound = storage_bound;
-    return rec;
-  }
-  std::vector<size_t> members;
-  members.reserve(candidates.size());
-  for (size_t i = 0; i < candidates.size(); ++i) members.push_back(i);
-  std::vector<std::pair<EstimationEngine*, std::vector<size_t>>> groups;
-  groups.emplace_back(&engine, std::move(members));
-  ThreadPool* pool =
-      engine.options().num_threads != 1 && candidates.size() > 1
-          ? engine.shared_pool()
-          : nullptr;
-  return LazyAdviseImpl(std::move(groups), candidates, storage_bound, target,
-                        pool, stats);
-}
-
-Result<AdvisorRecommendation> AdviseConfigurationsLazy(
-    CatalogEstimationService& service,
-    std::span<const CandidateConfiguration> candidates,
-    uint64_t storage_bound, const PrecisionTarget& target,
-    LazyAdvisorStats* stats) {
-  if (candidates.empty()) {
-    if (stats != nullptr) *stats = LazyAdvisorStats{};
-    AdvisorRecommendation rec;
-    rec.storage_bound = storage_bound;
-    return rec;
-  }
-  // Group by table, preserving first-appearance order; resolve every
-  // engine up front so a missing table fails before any estimation work.
-  std::vector<std::string> table_order;
-  std::vector<std::vector<size_t>> members;
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    const std::string& name = candidates[i].table_name;
-    size_t g = 0;
-    for (; g < table_order.size(); ++g) {
-      if (table_order[g] == name) break;
-    }
-    if (g == table_order.size()) {
-      table_order.push_back(name);
-      members.emplace_back();
-    }
-    members[g].push_back(i);
-  }
-  std::vector<std::pair<EstimationEngine*, std::vector<size_t>>> groups;
-  groups.reserve(table_order.size());
-  for (size_t g = 0; g < table_order.size(); ++g) {
-    Result<EstimationEngine*> engine = service.Engine(table_order[g]);
-    if (!engine.ok()) {
-      return Status::NotFound(
-          "candidate " + std::to_string(members[g][0]) + " (" +
-          candidates[members[g][0]].index.name + "): " +
-          engine.status().message());
-    }
-    groups.emplace_back(*engine, std::move(members[g]));
-  }
-  ThreadPool* pool =
-      service.options().num_threads == 1 ? nullptr : service.shared_pool();
-  return LazyAdviseImpl(std::move(groups), candidates, storage_bound, target,
-                        pool, stats);
 }
 
 AdvisorRecommendation SearchSizedCandidates(

@@ -22,11 +22,12 @@
 //      strictly beat the incumbent. Benefits are caller inputs, so the
 //      objective is exact throughout — only feasibility is uncertain.
 //   3. Targeted refinement — a candidate is refined (CandidateRefiner:
-//      GrowSample-backed, resuming the engine's draw stream) only when its
-//      interval straddles a feasibility decision the search must commit
-//      to: it would fit at its optimistic size but not at its pessimistic
-//      one. Refinement stops as soon as the decision resolves or the
-//      candidate converges to the precision target, whichever is first.
+//      GrowSampleToEpoch-backed, resuming the engine's draw stream) only
+//      when its interval straddles a feasibility decision the search must
+//      commit to: it would fit at its optimistic size but not at its
+//      pessimistic one. Refinement stops as soon as the decision resolves
+//      or the candidate converges to the precision target, whichever is
+//      first.
 //
 // Most candidates therefore never get a converged estimate at all: they
 // are taken because even their pessimistic size fits, skipped because even
@@ -75,24 +76,17 @@ struct LazyAdvisorStats {
   uint64_t coarse_rows = 0;
 };
 
-/// Lazy advisor pass over one engine: coarse intervals for every candidate,
-/// branch-and-bound selection under `storage_bound`, targeted refinement
-/// only where an interval straddles a decision. Selections match the
-/// eager-optimal reference whenever the coarse intervals cover the
+/// Lazy advisor pass: coarse intervals for every candidate, branch-and-
+/// bound selection under `storage_bound`, targeted refinement only where
+/// an interval straddles a decision. Candidates may span tables
+/// (CatalogEstimationService::GroupByTable); each table's engine serves its
+/// candidates' coarse intervals (fanned across the service's shared pool)
+/// and grows independently under targeted refinement. Selections match
+/// the eager-optimal reference whenever the coarse intervals cover the
 /// converged estimates (their stated confidence). Like the adaptive flow,
-/// not safe to run concurrently with other estimates on `engine`; the
-/// engine's sample afterwards is whatever the deepest refinement grew it
-/// to. `candidates` may exceed the eager-optimal 24-candidate cap.
-Result<AdvisorRecommendation> AdviseConfigurationsLazy(
-    EstimationEngine& engine,
-    std::span<const CandidateConfiguration> candidates,
-    uint64_t storage_bound, const PrecisionTarget& target = {},
-    LazyAdvisorStats* stats = nullptr);
-
-/// Catalog-level lazy pass: candidates may span tables; each table's
-/// engine serves its candidates' coarse intervals (fanned across the
-/// service's shared pool) and grows independently under targeted
-/// refinement.
+/// not safe to run concurrently with other estimates on the same tables;
+/// each engine's sample afterwards is whatever the deepest refinement grew
+/// it to. `candidates` may exceed the eager-optimal 24-candidate cap.
 Result<AdvisorRecommendation> AdviseConfigurationsLazy(
     CatalogEstimationService& service,
     std::span<const CandidateConfiguration> candidates,

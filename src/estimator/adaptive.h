@@ -107,8 +107,8 @@ uint64_t EstimateNeededSampleRows(double half_width_now, uint64_t rows_now,
 
 /// \brief One candidate's adaptive outcome.
 struct AdaptiveCandidateResult {
-  /// Footprint sizing, identical to what EstimationEngine::Estimate would
-  /// return at this candidate's final fraction.
+  /// Footprint sizing, identical to what EstimationEngine::EstimateAt
+  /// returns at this candidate's final-fraction epoch.
   SizedCandidate sized;
   /// CF' under the engine's base metric — the quantity the interval and
   /// the convergence rule are about.
@@ -193,10 +193,10 @@ Result<std::vector<CandidateIntervalResult>> EstimateCandidateIntervals(
 /// loop, a refiner estimates and grows for one candidate at a time: the
 /// branch-and-bound search refines only candidates whose intervals
 /// straddle a take/skip or feasibility decision, so most candidates never
-/// pay for a converged estimate. Growth goes through the same GrowSample
-/// stream as the round loop, so the prefix property is preserved: every
-/// estimate still equals a fixed-fraction run at its rows / n under the
-/// engine seed.
+/// pay for a converged estimate. Growth goes through the same
+/// GrowSampleToEpoch stream as the round loop, so the prefix property is
+/// preserved: every estimate still equals a fixed-fraction run at its
+/// rows / n under the engine seed.
 ///
 /// EstimateAtCurrentSample calls may run concurrently with each other
 /// (the coarse pass fans them across the shared pool); RefineUntil grows
@@ -306,17 +306,10 @@ class AdaptiveEstimator {
   ThreadPool* pool_;
 };
 
-/// Engine-level entry point: validates the target and runs an
-/// AdaptiveEstimator with a pool sized from the engine's options.
-Result<AdaptiveBatchResult> EstimateAllAdaptive(
-    EstimationEngine& engine,
-    std::span<const CandidateConfiguration> candidates,
-    const PrecisionTarget& target);
-
-/// Service-level entry point: groups candidates by table_name, grows each
-/// table's engine independently toward the shared target (per-round work
-/// fans across the service's shared pool), and merges the per-table
-/// results positionally.
+/// Catalog-level entry point: groups candidates by table_name
+/// (CatalogEstimationService::GroupByTable), grows each table's engine
+/// independently toward the shared target (per-round work fans across the
+/// service's shared pool), and merges the per-table results positionally.
 Result<AdaptiveBatchResult> EstimateAllAdaptive(
     CatalogEstimationService& service,
     std::span<const CandidateConfiguration> candidates,

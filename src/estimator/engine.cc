@@ -209,16 +209,11 @@ Status EstimationEngine::NotifyAppend(RowRange range) {
       std::unique_ptr<TableView> view,
       TableView::Make(table_, std::vector<RowId>(reservoir_ids_)));
   counters_->invalidations.Add(current->CachedIndexCount());
+  counters_->refreshes.Increment();
   ++version_;
   PublishLocked(MakeEpochLocked(std::move(view),
                                 reservoir_core_->items_seen()));
   return Status::OK();
-}
-
-Result<const Table*> EstimationEngine::SampleTable() {
-  CFEST_ASSIGN_OR_RETURN(std::shared_ptr<const SampleEpoch> epoch,
-                         PinEpoch());
-  return static_cast<const Table*>(&epoch->sample());
 }
 
 uint64_t EstimationEngine::sample_rows() const {
@@ -268,13 +263,13 @@ Result<std::shared_ptr<const SampleEpoch>> EstimationEngine::GrowSampleToEpoch(
 
   if (options_.rng != nullptr) {
     return Status::InvalidArgument(
-        "GrowSample needs an engine-owned RNG stream (seed), not an "
+        "GrowSampleToEpoch needs an engine-owned RNG stream (seed), not an "
         "external rng");
   }
   if (options_.base.sampler != nullptr) {
     return Status::InvalidArgument(
-        "GrowSample requires the default uniform-with-replacement sampler "
-        "(growth resumes its draw stream)");
+        "GrowSampleToEpoch requires the default uniform-with-replacement "
+        "sampler (growth resumes its draw stream)");
   }
 
   // Resume the seed's with-replacement draw stream: ids [current, target)
@@ -315,22 +310,9 @@ Result<std::shared_ptr<const SampleEpoch>> EstimationEngine::GrowSampleToEpoch(
   return epoch_.load(std::memory_order_acquire);
 }
 
-Result<uint64_t> EstimationEngine::GrowSample(uint64_t target_rows) {
-  CFEST_ASSIGN_OR_RETURN(std::shared_ptr<const SampleEpoch> epoch,
-                         GrowSampleToEpoch(target_rows));
-  return epoch->sample_rows();
-}
-
 Result<std::shared_ptr<const Index>> EstimationEngine::SampleIndexAt(
     const SampleEpoch& epoch, const IndexDescriptor& descriptor) const {
   return epoch.SampleIndex(descriptor, options_.base.build);
-}
-
-Result<std::shared_ptr<const Index>> EstimationEngine::SampleIndex(
-    const IndexDescriptor& descriptor) {
-  CFEST_ASSIGN_OR_RETURN(std::shared_ptr<const SampleEpoch> epoch,
-                         PinEpoch());
-  return SampleIndexAt(*epoch, descriptor);
 }
 
 Result<SampleCFResult> EstimationEngine::EstimateCFWithMetricAt(
@@ -358,26 +340,12 @@ Result<SampleCFResult> EstimationEngine::EstimateCFAt(
                                 options_.base.metric);
 }
 
-Result<SampleCFResult> EstimationEngine::EstimateCF(
-    const IndexDescriptor& descriptor, const CompressionScheme& scheme) {
-  CFEST_ASSIGN_OR_RETURN(std::shared_ptr<const SampleEpoch> epoch,
-                         PinEpoch());
-  return EstimateCFAt(*epoch, descriptor, scheme);
-}
-
 Result<CompressedIndex> EstimationEngine::CompressOnSampleAt(
     const SampleEpoch& epoch, const IndexDescriptor& descriptor,
     const CompressionScheme& scheme) const {
   CFEST_ASSIGN_OR_RETURN(std::shared_ptr<const Index> index,
                          SampleIndexAt(epoch, descriptor));
   return index->Compress(scheme, options_.base.build);
-}
-
-Result<CompressedIndex> EstimationEngine::CompressOnSample(
-    const IndexDescriptor& descriptor, const CompressionScheme& scheme) {
-  CFEST_ASSIGN_OR_RETURN(std::shared_ptr<const SampleEpoch> epoch,
-                         PinEpoch());
-  return CompressOnSampleAt(*epoch, descriptor, scheme);
 }
 
 Result<SizedCandidate> EstimationEngine::EstimateAt(
@@ -433,14 +401,6 @@ Result<SizedCandidate> EstimationEngine::EstimateExact(
   return sized;
 }
 
-Result<SizedCandidate> EstimationEngine::Estimate(
-    const CandidateConfiguration& candidate) {
-  if (IsUncompressedScheme(candidate.scheme)) return EstimateExact(candidate);
-  CFEST_ASSIGN_OR_RETURN(std::shared_ptr<const SampleEpoch> epoch,
-                         PinEpoch());
-  return EstimateAt(*epoch, candidate);
-}
-
 ThreadPool* EstimationEngine::Pool() {
   MutexLock lock(pool_mu_);
   if (pool_ == nullptr) {
@@ -475,6 +435,7 @@ EstimationEngine::CacheStats EstimationEngine::cache_stats() const {
   stats.index_cache_hits = counters_->index_cache_hits.Value();
   stats.index_extensions = counters_->index_extensions.Value();
   stats.invalidations = counters_->invalidations.Value();
+  stats.refreshes = counters_->refreshes.Value();
   stats.lock_free_pins = counters_->lock_free_pins.Value();
   stats.locked_pins = counters_->locked_pins.Value();
   stats.epochs_published = counters_->epochs_published.Value();

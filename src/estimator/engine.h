@@ -24,8 +24,8 @@
 // sample version, the sorted-index cache — lives in an immutable refcounted
 // SampleEpoch published through one atomic shared_ptr. Estimates pin the
 // current epoch with a single atomic load and never take the engine mutex;
-// NotifyAppend and GrowSample build a successor epoch off to the side under
-// the writer mutex and publish it with one atomic swap. Refresh therefore
+// NotifyAppend and GrowSampleToEpoch build a successor epoch off to the side
+// under the writer mutex and publish it with one atomic swap. Refresh therefore
 // no longer requires quiescing in-flight estimates: a pinned epoch stays
 // fully valid (and its results bit-identical to a quiesced run at that
 // epoch) until the last reader drops it.
@@ -145,7 +145,7 @@ struct EstimationEngineOptions {
 ///
 /// Thread-safe: estimates pin the current SampleEpoch (one atomic load, no
 /// engine mutex) and may run concurrently with each other AND with
-/// NotifyAppend/GrowSample — writers publish successor epochs without
+/// NotifyAppend/GrowSampleToEpoch — writers publish successor epochs without
 /// quiescing readers. The engine holds a reference to the base table; the
 /// table must outlive it.
 class EstimationEngine {
@@ -157,7 +157,10 @@ class EstimationEngine {
   const EstimationEngineOptions& options() const { return options_; }
 
   // -------------------------------------------------------------------
-  // Epoch-pinned read path (steady-state: one atomic load, no mutex)
+  // Read path: every sampled estimate runs against an explicitly pinned
+  // epoch (steady state: one atomic load, no mutex). Callers pin once and
+  // pass the epoch to each *At call, so a multi-call sequence can never
+  // straddle a refresh.
   // -------------------------------------------------------------------
 
   /// Pins the current epoch: a refcounted snapshot of the sample state
@@ -183,11 +186,6 @@ class EstimationEngine {
                                       const IndexDescriptor& descriptor,
                                       const CompressionScheme& scheme) const;
 
-  /// SampleCF on the epoch's sample under an explicit metric.
-  Result<SampleCFResult> EstimateCFWithMetricAt(
-      const SampleEpoch& epoch, const IndexDescriptor& descriptor,
-      const CompressionScheme& scheme, SizeMetric metric) const;
-
   /// Compresses the epoch's cached sample index with `scheme`.
   Result<CompressedIndex> CompressOnSampleAt(
       const SampleEpoch& epoch, const IndexDescriptor& descriptor,
@@ -206,40 +204,14 @@ class EstimationEngine {
   Result<SizedCandidate> EstimateExact(
       const CandidateConfiguration& candidate) const;
 
-  // -------------------------------------------------------------------
-  // Current-epoch conveniences (pin once, then the epoch API)
-  // -------------------------------------------------------------------
-
-  /// The shared sample (drawn on first use). The pointer addresses the
-  /// current epoch's view and stays valid until the epoch after the *next*
-  /// refresh/growth retires; callers that estimate across refreshes should
-  /// pin an epoch instead.
-  Result<const Table*> SampleTable();
-
   /// Rows in the current epoch's sample; 0 before the first draw.
   uint64_t sample_rows() const;
-
-  /// The sorted sample index for `descriptor` on the current epoch.
-  Result<std::shared_ptr<const Index>> SampleIndex(
-      const IndexDescriptor& descriptor);
-
-  /// SampleCF on the current epoch's sample: equals SampleCF(table,
-  /// descriptor, scheme, options.base, Random(seed)) bit for bit.
-  Result<SampleCFResult> EstimateCF(const IndexDescriptor& descriptor,
-                                    const CompressionScheme& scheme);
-
-  /// Compresses the current epoch's cached sample index with `scheme`.
-  Result<CompressedIndex> CompressOnSample(const IndexDescriptor& descriptor,
-                                           const CompressionScheme& scheme);
-
-  /// What-if sizes one candidate on the current epoch.
-  Result<SizedCandidate> Estimate(const CandidateConfiguration& candidate);
 
   /// What-if sizes a batch of candidates, fanning out across the pool.
   /// The whole batch runs against ONE pinned epoch, so results are
   /// positionally aligned with `candidates`, identical to calling
-  /// Estimate() per candidate serially, and internally consistent even
-  /// while appends stream in.
+  /// EstimateAt() on that epoch per candidate serially, and internally
+  /// consistent even while appends stream in.
   Result<std::vector<SizedCandidate>> EstimateAll(
       std::span<const CandidateConfiguration> candidates);
 
@@ -276,9 +248,6 @@ class EstimationEngine {
   Result<std::shared_ptr<const SampleEpoch>> GrowSampleToEpoch(
       uint64_t target_rows);
 
-  /// GrowSampleToEpoch, reporting just the resulting sample row count.
-  Result<uint64_t> GrowSample(uint64_t target_rows);
-
   /// Folds newly appended base-table rows [range.begin, range.end) into the
   /// maintained reservoir, continuing the Algorithm-R stream from the
   /// initial draw (the resulting reservoir equals a fresh one-pass draw
@@ -308,6 +277,9 @@ class EstimationEngine {
     uint64_t index_extensions = 0;
     /// Cached sample-index entries dropped by refreshes/reservoir growth.
     uint64_t invalidations = 0;
+    /// NotifyAppend calls that changed the reservoir contents (sample
+    /// growth is not a refresh and does not count here).
+    uint64_t refreshes = 0;
     /// Version of the sample contents: 1 after the initial draw, +1 per
     /// refresh or growth that actually changed the sample. Each epoch's
     /// cached indexes are always consistent with its version.
@@ -332,6 +304,12 @@ class EstimationEngine {
   ThreadPool* shared_pool() { return Pool(); }
 
  private:
+  /// SampleCF on the epoch's sample under an explicit metric (EstimateAt
+  /// sizes pages; EstimateCFAt uses the base metric).
+  Result<SampleCFResult> EstimateCFWithMetricAt(
+      const SampleEpoch& epoch, const IndexDescriptor& descriptor,
+      const CompressionScheme& scheme, SizeMetric metric) const;
+
   /// Draws the initial sample and publishes epoch 1. Caller holds mu_ and
   /// has checked that no epoch exists yet.
   Status DrawInitialLocked() REQUIRES(mu_);
@@ -354,15 +332,15 @@ class EstimationEngine {
   std::atomic<std::shared_ptr<const SampleEpoch>> epoch_;
 
   /// Writer mutex: serializes the initial draw, NotifyAppend, and
-  /// GrowSample. Guards the draw-stream state below; never held while an
-  /// estimate runs.
+  /// GrowSampleToEpoch. Guards the draw-stream state below; never held
+  /// while an estimate runs.
   mutable Mutex mu_;
   /// Writer-side handle on the current sample view (== current epoch's).
   std::shared_ptr<const TableView> sample_ GUARDED_BY(mu_);
   /// Sample-contents version behind the current epoch.
   uint64_t version_ GUARDED_BY(mu_) = 0;
   /// Base-table rows the frozen draw was taken over (the n all frozen-mode
-  /// epochs scale by; GrowSample resumes the draw stream against it).
+  /// epochs scale by; GrowSampleToEpoch resumes the draw stream against it).
   uint64_t draw_table_rows_ GUARDED_BY(mu_) = 0;
 
   /// Reservoir state (maintain_reservoir mode only): the Algorithm-R slot
@@ -373,7 +351,7 @@ class EstimationEngine {
   std::vector<RowId> reservoir_ids_ GUARDED_BY(mu_);
 
   /// The frozen-draw RNG stream (default mode, engine-owned seed only).
-  /// Kept alive past the initial draw so GrowSample can resume it.
+  /// Kept alive past the initial draw so GrowSampleToEpoch can resume it.
   Random draw_rng_ GUARDED_BY(mu_){0};
 
   /// Pool creation is guarded separately from mu_ so estimate fan-out can

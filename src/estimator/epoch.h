@@ -5,7 +5,7 @@
 //
 // The engine used to keep one mutable sample (view + cached sorted sample
 // indexes) behind its mutex, which forced every refresh (NotifyAppend /
-// GrowSample) to quiesce all in-flight estimates. An epoch snapshot breaks
+// sample growth) to quiesce all in-flight estimates. An epoch snapshot breaks
 // that coupling, RCU-style:
 //
 //   - Everything an estimate reads — the sample view, the table-size
@@ -82,6 +82,7 @@ struct EpochCounters {
              {"cfest.engine.index_cache_hits", &index_cache_hits},
              {"cfest.engine.index_extensions", &index_extensions},
              {"cfest.engine.invalidations", &invalidations},
+             {"cfest.engine.refreshes", &refreshes},
              {"cfest.engine.lock_free_pins", &lock_free_pins},
              {"cfest.engine.locked_pins", &locked_pins},
              {"cfest.engine.epochs_published", &epochs_published},
@@ -106,6 +107,8 @@ struct EpochCounters {
   metrics::Counter index_cache_hits;
   metrics::Counter index_extensions;
   metrics::Counter invalidations;
+  /// NotifyAppend calls that changed the reservoir contents.
+  metrics::Counter refreshes;
   /// Epoch pins served by the lock-free atomic load (steady state).
   metrics::Counter lock_free_pins;
   /// Epoch pins that fell through to the writer mutex (first draw only).
@@ -171,7 +174,7 @@ class SampleEpoch {
   SampleEpoch(std::shared_ptr<const TableView> sample, uint64_t version,
               uint64_t table_rows, std::shared_ptr<EpochCounters> counters);
 
-  /// Pre-publication seeding (GrowSample's sorted-run extensions land here
+  /// Pre-publication seeding (growth's sorted-run extensions land here
   /// before the epoch is visible to any reader; no synchronization needed).
   void SeedIndex(const std::string& key, std::shared_ptr<const Index> index);
 

@@ -64,28 +64,41 @@ ThreadPool* CatalogEstimationService::Pool() {
   return pool_.get();
 }
 
+Result<std::vector<CatalogEstimationService::TableGroup>>
+CatalogEstimationService::GroupByTable(
+    std::span<const CandidateConfiguration> candidates) {
+  std::vector<TableGroup> groups;
+  std::vector<const std::string*> names;
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    const std::string& name = candidates[i].table_name;
+    size_t g = 0;
+    while (g < names.size() && *names[g] != name) ++g;
+    if (g == names.size()) {
+      names.push_back(&name);
+      groups.emplace_back();
+    }
+    groups[g].members.push_back(i);
+  }
+  // Resolve every engine before returning (serial), so a missing table
+  // fails the whole batch before any estimation work starts.
+  for (TableGroup& group : groups) {
+    const size_t first = group.members[0];
+    Result<EstimationEngine*> engine = Engine(candidates[first].table_name);
+    if (!engine.ok()) {
+      return Status::NotFound("candidate " + std::to_string(first) + " (" +
+                              candidates[first].index.name + "): " +
+                              engine.status().message());
+    }
+    group.engine = *engine;
+  }
+  return groups;
+}
+
 Result<std::vector<SizedCandidate>> CatalogEstimationService::EstimateAll(
     std::span<const CandidateConfiguration> candidates) {
   trace::Span batch_span("service.estimate_all");
-  // Group by table name: resolve each distinct table's engine exactly once
-  // (creating it if needed) before any estimation work starts, so a
-  // missing table fails the whole batch up front.
-  std::map<std::string, EstimationEngine*> group_engines;
-  std::vector<EstimationEngine*> engine_of(candidates.size(), nullptr);
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    const std::string& name = candidates[i].table_name;
-    auto it = group_engines.find(name);
-    if (it == group_engines.end()) {
-      Result<EstimationEngine*> engine = Engine(name);
-      if (!engine.ok()) {
-        return Status::NotFound("candidate " + std::to_string(i) + " (" +
-                                candidates[i].index.name + "): " +
-                                engine.status().message());
-      }
-      it = group_engines.emplace(name, *engine).first;
-    }
-    engine_of[i] = it->second;
-  }
+  CFEST_ASSIGN_OR_RETURN(std::vector<TableGroup> groups,
+                         GroupByTable(candidates));
 
   // Pin ONE epoch per distinct table for the whole batch: every candidate
   // of a table is sized against the same refcounted sample snapshot, so
@@ -94,62 +107,47 @@ Result<std::vector<SizedCandidate>> CatalogEstimationService::EstimateAll(
   // concurrently. Pinning is the lock-free fast path after each engine's
   // first draw; the draw itself happens here, before fan-out, so worker
   // lambdas never fall through to the writer mutex.
-  std::map<std::string, std::shared_ptr<const SampleEpoch>> group_epochs;
+  //
+  // Coalesced admission follows: structurally identical candidates at the
+  // same epoch — within this batch or racing in from concurrent
+  // EstimateAll calls — share one computation. Owners compute; sharers
+  // just collect the owner's future below. Per-table telemetry handles
+  // (labeled admission counters and wait histograms) are resolved once
+  // per distinct table here, at batch setup, so admission and collection
+  // do no label work per candidate.
+  std::vector<std::shared_ptr<const SampleEpoch>> epochs;
+  epochs.reserve(groups.size());
+  std::vector<EstimationEngine*> engine_of(candidates.size(), nullptr);
   std::vector<const SampleEpoch*> epoch_of(candidates.size(), nullptr);
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    const std::string& name = candidates[i].table_name;
-    auto it = group_epochs.find(name);
-    if (it == group_epochs.end()) {
-      Result<std::shared_ptr<const SampleEpoch>> epoch =
-          group_engines[name]->PinEpoch();
-      if (!epoch.ok()) return epoch.status();
-      it = group_epochs.emplace(name, *epoch).first;
+  std::vector<RequestCoalescer::TableCounters*> counters_of(candidates.size());
+  std::vector<metrics::Histogram*> wait_hist_of(candidates.size());
+  for (const TableGroup& group : groups) {
+    CFEST_ASSIGN_OR_RETURN(std::shared_ptr<const SampleEpoch> epoch,
+                           group.engine->PinEpoch());
+    const std::string& name = group.engine->options().table_name;
+    RequestCoalescer::TableCounters* counters =
+        coalescer_.CountersForTable(name);
+    metrics::Histogram* wait_hist =
+        metrics::MetricRegistry::Global().GetHistogram(
+            "cfest.coalescer.wait_ns", {{"table", name}});
+    for (size_t i : group.members) {
+      engine_of[i] = group.engine;
+      epoch_of[i] = epoch.get();
+      counters_of[i] = counters;
+      wait_hist_of[i] = wait_hist;
     }
-    epoch_of[i] = it->second.get();
+    epochs.push_back(std::move(epoch));
   }
 
   const bool serial = options_.num_threads == 1 || candidates.size() < 2;
   std::vector<SizedCandidate> results(candidates.size());
-
-  if (!options_.coalesce_requests) {
-    // Plain fan-out: every candidate of every group across the shared
-    // pool. Per-candidate granularity keeps all workers busy even when
-    // group sizes are skewed.
-    CFEST_RETURN_NOT_OK(StatusParallelFor(
-        serial ? nullptr : Pool(), candidates.size(), [&](uint64_t i) {
-          CFEST_ASSIGN_OR_RETURN(
-              results[i], engine_of[i]->EstimateAt(*epoch_of[i], candidates[i]));
-          return Status::OK();
-        }));
-    return results;
-  }
-
-  // Coalesced admission: structurally identical candidates at the same
-  // epoch — within this batch or racing in from concurrent EstimateAll
-  // calls — share one computation. Owners compute; sharers just collect
-  // the owner's future below. Per-table telemetry handles (labeled
-  // admission counters and wait histograms) are resolved once per
-  // distinct table here, at batch setup, so admission and collection do
-  // no label work per candidate.
-  std::map<std::string, RequestCoalescer::TableCounters*> group_counters;
-  std::map<std::string, metrics::Histogram*> group_wait_hists;
-  std::vector<RequestCoalescer::TableCounters*> counters_of(candidates.size());
-  std::vector<metrics::Histogram*> wait_hist_of(candidates.size());
-  for (const auto& [name, engine] : group_engines) {
-    (void)engine;
-    group_counters[name] = coalescer_.CountersForTable(name);
-    group_wait_hists[name] = metrics::MetricRegistry::Global().GetHistogram(
-        "cfest.coalescer.wait_ns", {{"table", name}});
-  }
   std::vector<std::string> keys(candidates.size());
   std::vector<RequestCoalescer::Ticket> tickets(candidates.size());
   std::vector<uint64_t> owned;
   owned.reserve(candidates.size());
   for (size_t i = 0; i < candidates.size(); ++i) {
-    const std::string& name = candidates[i].table_name;
-    counters_of[i] = group_counters[name];
-    wait_hist_of[i] = group_wait_hists[name];
-    keys[i] = CoalesceKey(name, candidates[i], *epoch_of[i]);
+    keys[i] = CoalesceKey(candidates[i].table_name, candidates[i],
+                          *epoch_of[i]);
     tickets[i] = coalescer_.Admit(keys[i], counters_of[i]);
     if (tickets[i].owner) owned.push_back(i);
   }
@@ -186,8 +184,7 @@ Result<std::vector<SizedCandidate>> CatalogEstimationService::EstimateAll(
       }));
 
   // Collect every result in input order — owners and sharers alike read
-  // their future (an owner's is already ready). First failure wins, like
-  // the plain fan-out's StatusParallelFor.
+  // their future (an owner's is already ready). First failure wins.
   for (size_t i = 0; i < candidates.size(); ++i) {
     SizingOutcome outcome;
     if (!tickets[i].owner) {
@@ -251,9 +248,7 @@ CatalogEstimationService::Stats CatalogEstimationService::stats() const {
       stats.index_builds += s.index_builds;
       stats.index_cache_hits += s.index_cache_hits;
       stats.invalidations += s.invalidations;
-      // sample_version is 1 after an engine's initial draw and +1 per
-      // effective refresh, so the refresh count is version - draws.
-      stats.refreshes += s.sample_version - s.samples_drawn;
+      stats.refreshes += s.refreshes;
       stats.lock_free_pins += s.lock_free_pins;
       stats.locked_pins += s.locked_pins;
       stats.epochs_published += s.epochs_published;

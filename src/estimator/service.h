@@ -69,12 +69,6 @@ struct CatalogEstimationServiceOptions {
   /// Reservoir capacity per engine when maintain_reservoirs is set
   /// (0 = derive from base.fraction at each table's first draw).
   uint64_t reservoir_capacity = 0;
-  /// Deduplicate structurally identical (candidate, epoch) requests across
-  /// concurrent EstimateAll calls through the request coalescer (in-flight
-  /// work only — completed results are never memoized, so sequential
-  /// batches hit the engines' own caches exactly as before). Sharing is
-  /// bit-exact; disable only to measure its effect.
-  bool coalesce_requests = true;
 };
 
 /// \brief Catalog-level batched CF estimation: one engine per table, one
@@ -103,13 +97,30 @@ class CatalogEstimationService {
   /// against the new table — a removed table's engine is never served.
   Result<EstimationEngine*> Engine(const std::string& table_name);
 
+  /// One table's slice of a mixed-table batch.
+  struct TableGroup {
+    /// The table's engine (its options().table_name names the table).
+    EstimationEngine* engine = nullptr;
+    /// Positions of the table's candidates in the batch, ascending.
+    std::vector<size_t> members;
+  };
+
+  /// Groups `candidates` by table_name in first-appearance order and
+  /// resolves (creating as needed) every group's engine before returning,
+  /// so a batch naming a missing table fails before any sample is drawn:
+  /// NotFound("candidate i (index name): ...") for the table's first
+  /// candidate i. The one grouping step behind every catalog-level batch
+  /// (EstimateAll, EstimateAllAdaptive, AdviseConfigurationsLazy).
+  Result<std::vector<TableGroup>> GroupByTable(
+      std::span<const CandidateConfiguration> candidates);
+
   /// What-if sizes a mixed-table batch: candidates are grouped by
-  /// table_name, every group's table engine is resolved (creating engines
-  /// as needed), one epoch per distinct table is pinned for the whole
-  /// batch, and all candidates fan out across the shared pool — after the
-  /// coalescer merges duplicates with identical in-flight or completed
-  /// requests. Results are positionally aligned with `candidates` and
-  /// bit-identical to per-table EstimateAll under the same per-table seeds.
+  /// table_name (GroupByTable), one epoch per distinct table is pinned for
+  /// the whole batch, and all candidates fan out across the shared pool —
+  /// after the coalescer merges duplicates with identical in-flight or
+  /// completed requests. Results are positionally aligned with
+  /// `candidates` and bit-identical to per-table EstimateAll under the
+  /// same per-table seeds.
   Result<std::vector<SizedCandidate>> EstimateAll(
       std::span<const CandidateConfiguration> candidates);
 
@@ -127,8 +138,7 @@ class CatalogEstimationService {
   Status NotifyAppend(const std::string& table_name, RowRange range);
 
   /// \brief Aggregate work-avoidance counters across every engine created
-  /// so far (sums of the per-engine CacheStats; per-engine sample versions
-  /// are reduced to an additive refresh count), plus the coalescer's
+  /// so far (sums of the per-engine CacheStats), plus the coalescer's
   /// traffic counters.
   struct Stats {
     uint64_t engines_created = 0;
@@ -137,7 +147,7 @@ class CatalogEstimationService {
     uint64_t index_cache_hits = 0;
     uint64_t invalidations = 0;
     /// Effective reservoir refreshes (NotifyAppend calls that changed a
-    /// reservoir) summed across engines.
+    /// reservoir) summed across engines; sample growth does not count.
     uint64_t refreshes = 0;
     /// Epoch pins served lock-free vs through the writer mutex (summed;
     /// locked pins only ever happen on initial draws).

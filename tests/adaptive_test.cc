@@ -41,6 +41,17 @@ std::unique_ptr<Table> WorkloadTable(uint64_t rows = 20000, uint64_t seed = 7) {
   return std::move(table).ValueOrDie();
 }
 
+/// Serial catalog-level options: the adaptive flow's single-table case
+/// runs on a one-table catalog through the service.
+CatalogEstimationServiceOptions SerialServiceOptions(double fraction,
+                                                     uint64_t seed) {
+  CatalogEstimationServiceOptions options;
+  options.base.fraction = fraction;
+  options.seed = seed;
+  options.num_threads = 1;
+  return options;
+}
+
 CandidateConfiguration Candidate(const char* col, CompressionType type,
                                  const char* table_name = "") {
   CandidateConfiguration c;
@@ -180,32 +191,33 @@ TEST(GrowSampleTest, GrownSampleEqualsFreshDrawAtFinalFraction) {
   options.seed = 17;
 
   EstimationEngine grown(*table, options);
-  ASSERT_TRUE(grown.SampleTable().ok());
+  ASSERT_TRUE(grown.PinEpoch().ok());
   EXPECT_EQ(grown.sample_rows(), 200u);
-  auto rows = grown.GrowSample(1500);
-  ASSERT_TRUE(rows.ok());
-  EXPECT_EQ(*rows, 1500u);
+  auto grown_epoch = grown.GrowSampleToEpoch(1500);
+  ASSERT_TRUE(grown_epoch.ok());
+  EXPECT_EQ((*grown_epoch)->sample_rows(), 1500u);
 
   EstimationEngineOptions fresh_options = options;
   fresh_options.base.fraction =
       1500.0 / static_cast<double>(table->num_rows());
   EstimationEngine fresh(*table, fresh_options);
 
-  auto grown_sample = grown.SampleTable();
-  auto fresh_sample = fresh.SampleTable();
-  ASSERT_TRUE(grown_sample.ok());
-  ASSERT_TRUE(fresh_sample.ok());
-  ASSERT_EQ((*grown_sample)->num_rows(), (*fresh_sample)->num_rows());
-  for (RowId i = 0; i < (*grown_sample)->num_rows(); ++i) {
-    Slice a = (*grown_sample)->row(i);
-    Slice b = (*fresh_sample)->row(i);
+  auto fresh_epoch = fresh.PinEpoch();
+  ASSERT_TRUE(fresh_epoch.ok());
+  const TableView& grown_sample = (*grown_epoch)->sample();
+  const TableView& fresh_sample = (*fresh_epoch)->sample();
+  ASSERT_EQ(grown_sample.num_rows(), fresh_sample.num_rows());
+  for (RowId i = 0; i < grown_sample.num_rows(); ++i) {
+    Slice a = grown_sample.row(i);
+    Slice b = fresh_sample.row(i);
     ASSERT_EQ(a.size(), b.size());
     ASSERT_EQ(0, std::memcmp(a.data(), b.data(), a.size())) << "row " << i;
   }
 
   // A target at or below the current size is a no-op; the cap is the table.
-  EXPECT_EQ(*grown.GrowSample(100), 1500u);
-  EXPECT_EQ(*grown.GrowSample(table->num_rows() * 10), table->num_rows());
+  EXPECT_EQ((*grown.GrowSampleToEpoch(100))->sample_rows(), 1500u);
+  EXPECT_EQ((*grown.GrowSampleToEpoch(table->num_rows() * 10))->sample_rows(),
+            table->num_rows());
 }
 
 TEST(GrowSampleTest, ExtendsCachedIndexesBitIdentically) {
@@ -216,8 +228,12 @@ TEST(GrowSampleTest, ExtendsCachedIndexesBitIdentically) {
 
   EstimationEngine grown(*table, options);
   const IndexDescriptor desc{"ix", {"city"}, /*clustered=*/false};
-  ASSERT_TRUE(grown.SampleIndex(desc).ok());  // cache a build pre-growth
-  ASSERT_TRUE(grown.GrowSample(2000).ok());
+  auto base_epoch = grown.PinEpoch();
+  ASSERT_TRUE(base_epoch.ok());
+  // Cache a build pre-growth.
+  ASSERT_TRUE(grown.SampleIndexAt(**base_epoch, desc).ok());
+  auto grown_epoch = grown.GrowSampleToEpoch(2000);
+  ASSERT_TRUE(grown_epoch.ok());
   EXPECT_EQ(grown.cache_stats().index_extensions, 1u);
   EXPECT_EQ(grown.cache_stats().index_builds, 1u);
 
@@ -225,9 +241,11 @@ TEST(GrowSampleTest, ExtendsCachedIndexesBitIdentically) {
   fresh_options.base.fraction =
       2000.0 / static_cast<double>(table->num_rows());
   EstimationEngine fresh(*table, fresh_options);
+  auto fresh_epoch = fresh.PinEpoch();
+  ASSERT_TRUE(fresh_epoch.ok());
 
-  auto extended = grown.SampleIndex(desc);
-  auto rebuilt = fresh.SampleIndex(desc);
+  auto extended = grown.SampleIndexAt(**grown_epoch, desc);
+  auto rebuilt = fresh.SampleIndexAt(**fresh_epoch, desc);
   ASSERT_TRUE(extended.ok());
   ASSERT_TRUE(rebuilt.ok());
   ASSERT_EQ((*extended)->num_rows(), (*rebuilt)->num_rows());
@@ -243,8 +261,8 @@ TEST(GrowSampleTest, ExtendsCachedIndexesBitIdentically) {
   // Estimates off the extended index equal the fresh engine's bitwise.
   const CompressionScheme scheme =
       CompressionScheme::Uniform(CompressionType::kDictionaryPage);
-  auto grown_cf = grown.EstimateCF(desc, scheme);
-  auto fresh_cf = fresh.EstimateCF(desc, scheme);
+  auto grown_cf = grown.EstimateCFAt(**grown_epoch, desc, scheme);
+  auto fresh_cf = fresh.EstimateCFAt(**fresh_epoch, desc, scheme);
   ASSERT_TRUE(grown_cf.ok());
   ASSERT_TRUE(fresh_cf.ok());
   EXPECT_EQ(grown_cf->cf.value, fresh_cf->cf.value);
@@ -262,17 +280,21 @@ TEST(GrowSampleTest, ReservoirGrowthEqualsFreshDrawAtNewCapacity) {
   const IndexDescriptor desc{"ix", {"status"}, false};
   const CompressionScheme scheme =
       CompressionScheme::Uniform(CompressionType::kRle);
-  ASSERT_TRUE(grown.EstimateCF(desc, scheme).ok());
-  auto rows = grown.GrowSample(600);
-  ASSERT_TRUE(rows.ok());
-  EXPECT_EQ(*rows, 600u);
+  auto base_epoch = grown.PinEpoch();
+  ASSERT_TRUE(base_epoch.ok());
+  ASSERT_TRUE(grown.EstimateCFAt(**base_epoch, desc, scheme).ok());
+  auto grown_epoch = grown.GrowSampleToEpoch(600);
+  ASSERT_TRUE(grown_epoch.ok());
+  EXPECT_EQ((*grown_epoch)->sample_rows(), 600u);
 
   EstimationEngineOptions fresh_options = options;
   fresh_options.reservoir_capacity = 600;
   EstimationEngine fresh(*table, fresh_options);
+  auto fresh_epoch = fresh.PinEpoch();
+  ASSERT_TRUE(fresh_epoch.ok());
 
-  auto grown_cf = grown.EstimateCF(desc, scheme);
-  auto fresh_cf = fresh.EstimateCF(desc, scheme);
+  auto grown_cf = grown.EstimateCFAt(**grown_epoch, desc, scheme);
+  auto fresh_cf = fresh.EstimateCFAt(**fresh_epoch, desc, scheme);
   ASSERT_TRUE(grown_cf.ok());
   ASSERT_TRUE(fresh_cf.ok());
   EXPECT_EQ(grown_cf->cf.value, fresh_cf->cf.value);
@@ -287,7 +309,7 @@ TEST(GrowSampleTest, RejectsExternalRngAndCustomSamplers) {
     options.base.fraction = 0.01;
     options.rng = &rng;
     EstimationEngine engine(*table, options);
-    EXPECT_FALSE(engine.GrowSample(500).ok());
+    EXPECT_FALSE(engine.GrowSampleToEpoch(500).ok());
   }
   {
     auto sampler = MakeBlockSampler();
@@ -295,7 +317,7 @@ TEST(GrowSampleTest, RejectsExternalRngAndCustomSamplers) {
     options.base.fraction = 0.01;
     options.base.sampler = sampler.get();
     EstimationEngine engine(*table, options);
-    EXPECT_FALSE(engine.GrowSample(500).ok());
+    EXPECT_FALSE(engine.GrowSampleToEpoch(500).ok());
   }
 }
 
@@ -303,30 +325,29 @@ TEST(GrowSampleTest, RejectsExternalRngAndCustomSamplers) {
 // AdaptiveEstimator
 // ---------------------------------------------------------------------------
 
+/// Candidates on the one-table catalog's table "t".
 std::vector<CandidateConfiguration> AdaptiveWorkload() {
-  return {Candidate("status", CompressionType::kRle),
-          Candidate("city", CompressionType::kDictionaryPage),
-          Candidate("status", CompressionType::kNullSuppression),
-          Candidate("city", CompressionType::kNone)};
+  return {Candidate("status", CompressionType::kRle, "t"),
+          Candidate("city", CompressionType::kDictionaryPage, "t"),
+          Candidate("status", CompressionType::kNullSuppression, "t"),
+          Candidate("city", CompressionType::kNone, "t")};
 }
 
 TEST(AdaptiveEstimatorTest, ConvergesWithinTargetAndBudget) {
-  auto table = WorkloadTable();
-  EstimationEngineOptions options;
-  options.base.fraction = 0.005;
-  options.seed = 42;
-  options.num_threads = 1;
-  EstimationEngine engine(*table, options);
+  Catalog catalog;
+  ASSERT_TRUE(catalog.AddTable("t", WorkloadTable()).ok());
+  CatalogEstimationService service(catalog, SerialServiceOptions(0.005, 42));
 
   PrecisionTarget target;
   target.rel_error = 0.10;
   target.confidence = 0.90;
-  auto result = EstimateAllAdaptive(engine, AdaptiveWorkload(), target);
+  auto result = EstimateAllAdaptive(service, AdaptiveWorkload(), target);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->candidates.size(), 4u);
   EXPECT_FALSE(result->budget_exhausted);
   ASSERT_EQ(result->tables.size(), 1u);
-  EXPECT_EQ(result->tables[0].final_sample_rows, engine.sample_rows());
+  EXPECT_EQ(result->tables[0].final_sample_rows,
+            (*service.Engine("t"))->sample_rows());
 
   for (const AdaptiveCandidateResult& r : result->candidates) {
     EXPECT_TRUE(r.converged) << r.sized.config.index.name;
@@ -360,28 +381,29 @@ TEST(AdaptiveEstimatorTest, ConvergesWithinTargetAndBudget) {
 }
 
 TEST(AdaptiveEstimatorTest, ConvergedResultEqualsFixedFractionRun) {
-  auto table = WorkloadTable();
-  EstimationEngineOptions options;
-  options.base.fraction = 0.005;
-  options.seed = 42;
-  options.num_threads = 1;
-  EstimationEngine engine(*table, options);
+  Catalog catalog;
+  ASSERT_TRUE(catalog.AddTable("t", WorkloadTable()).ok());
+  CatalogEstimationService service(catalog, SerialServiceOptions(0.005, 42));
+  const EstimationEngine& engine = **service.Engine("t");
+  const Table& table = engine.table();
 
   PrecisionTarget target;
   target.rel_error = 0.08;
   target.confidence = 0.90;
   const std::vector<CandidateConfiguration> candidates = AdaptiveWorkload();
-  auto result = EstimateAllAdaptive(engine, candidates, target);
+  auto result = EstimateAllAdaptive(service, candidates, target);
   ASSERT_TRUE(result.ok());
 
   for (size_t i = 0; i < candidates.size(); ++i) {
     const AdaptiveCandidateResult& r = result->candidates[i];
     if (r.rows_sampled == 0) continue;  // uncompressed: no sampling
-    EstimationEngineOptions fixed_options = options;
+    EstimationEngineOptions fixed_options = engine.options();
     fixed_options.base.fraction = static_cast<double>(r.rows_sampled) /
-                                  static_cast<double>(table->num_rows());
-    EstimationEngine fixed(*table, fixed_options);
-    auto sized = fixed.Estimate(candidates[i]);
+                                  static_cast<double>(table.num_rows());
+    EstimationEngine fixed(table, fixed_options);
+    auto epoch = fixed.PinEpoch();
+    ASSERT_TRUE(epoch.ok());
+    auto sized = fixed.EstimateAt(**epoch, candidates[i]);
     ASSERT_TRUE(sized.ok());
     EXPECT_EQ(sized->estimated_cf, r.sized.estimated_cf)
         << candidates[i].index.name;
@@ -389,24 +411,22 @@ TEST(AdaptiveEstimatorTest, ConvergedResultEqualsFixedFractionRun) {
         << candidates[i].index.name;
     EXPECT_EQ(sized->sample_rows, r.rows_sampled)
         << candidates[i].index.name;
-    auto cf = fixed.EstimateCF(candidates[i].index, candidates[i].scheme);
+    auto cf = fixed.EstimateCFAt(**epoch, candidates[i].index,
+                                 candidates[i].scheme);
     ASSERT_TRUE(cf.ok());
     EXPECT_EQ(cf->cf.value, r.cf) << candidates[i].index.name;
   }
 }
 
 TEST(AdaptiveEstimatorTest, ReportsBudgetExhaustion) {
-  auto table = WorkloadTable();
-  EstimationEngineOptions options;
-  options.base.fraction = 0.005;
-  options.seed = 42;
-  options.num_threads = 1;
-  EstimationEngine engine(*table, options);
+  Catalog catalog;
+  ASSERT_TRUE(catalog.AddTable("t", WorkloadTable()).ok());
+  CatalogEstimationService service(catalog, SerialServiceOptions(0.005, 42));
 
   PrecisionTarget target;
   target.rel_error = 0.0005;  // unreachable within the budget
   target.row_budget = 500;
-  auto result = EstimateAllAdaptive(engine, AdaptiveWorkload(), target);
+  auto result = EstimateAllAdaptive(service, AdaptiveWorkload(), target);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->budget_exhausted);
   EXPECT_LE(result->tables[0].final_sample_rows, 500u);
@@ -463,27 +483,18 @@ TEST(AdaptiveEstimatorTest, ServiceLevelGrowsEachTableIndependently) {
     EXPECT_EQ(result->candidates[i].sized.config.index.name,
               candidates[i].index.name);
   }
-
-  auto missing = EstimateAllAdaptive(
-      service, std::vector<CandidateConfiguration>{Candidate(
-                   "city", CompressionType::kRle, "nope")},
-      target);
-  EXPECT_FALSE(missing.ok());
 }
 
 TEST(AdaptiveEstimatorTest, PrecisionTargetedAdvisorSelectsUnderBound) {
-  auto table = WorkloadTable();
-  EstimationEngineOptions options;
-  options.base.fraction = 0.005;
-  options.seed = 42;
-  options.num_threads = 1;
-  EstimationEngine engine(*table, options);
+  Catalog catalog;
+  ASSERT_TRUE(catalog.AddTable("t", WorkloadTable()).ok());
+  CatalogEstimationService service(catalog, SerialServiceOptions(0.005, 42));
 
   PrecisionTarget target;
   target.rel_error = 0.10;
   target.confidence = 0.90;
   AdaptiveBatchResult adaptive;
-  auto rec = AdviseConfigurations(engine, AdaptiveWorkload(),
+  auto rec = AdviseConfigurations(service, AdaptiveWorkload(),
                                   /*storage_bound=*/1 << 20, target,
                                   AdvisorStrategy::kGreedy, &adaptive);
   ASSERT_TRUE(rec.ok());
@@ -524,7 +535,9 @@ TEST(CandidateRefinerTest, RefinesToConvergenceAndMatchesFixedFraction) {
   fixed_options.base.fraction = static_cast<double>(refined->rows_sampled) /
                                 static_cast<double>(table->num_rows());
   EstimationEngine fixed(*table, fixed_options);
-  auto fixed_estimate = fixed.EstimateCF(c.index, c.scheme);
+  auto fixed_epoch = fixed.PinEpoch();
+  ASSERT_TRUE(fixed_epoch.ok());
+  auto fixed_estimate = fixed.EstimateCFAt(**fixed_epoch, c.index, c.scheme);
   ASSERT_TRUE(fixed_estimate.ok());
   EXPECT_EQ(fixed_estimate->cf.value, refined->cf);
   EXPECT_EQ(fixed_estimate->sample_rows, refined->rows_sampled);

@@ -14,7 +14,6 @@
 
 #include "advisor/advisor.h"
 #include "advisor/search.h"
-#include "advisor/what_if.h"
 #include "common/random.h"
 #include "datagen/table_gen.h"
 #include "storage/catalog.h"
@@ -83,12 +82,13 @@ TEST(WhatIfTest, UncompressedCandidateSkipsSampling) {
   candidate.index = {"ix", {"city"}, false};
   candidate.scheme = CompressionScheme::Uniform(CompressionType::kNone);
   candidate.benefit = 10.0;
-  SampleCFOptions options;
-  options.fraction = 0.05;
-  Random rng(1);
-  Result<SizedCandidate> sized =
-      EstimateCandidateSize(*table, candidate, options, &rng);
+  EstimationEngineOptions options;
+  options.base.fraction = 0.05;
+  options.seed = 1;
+  EstimationEngine engine(*table, options);
+  Result<SizedCandidate> sized = engine.EstimateExact(candidate);
   ASSERT_TRUE(sized.ok());
+  EXPECT_EQ(0u, engine.cache_stats().samples_drawn);
   EXPECT_DOUBLE_EQ(sized->estimated_cf, 1.0);
   EXPECT_EQ(sized->estimated_bytes, sized->uncompressed_bytes);
 }
@@ -101,11 +101,13 @@ TEST(WhatIfTest, CompressedCandidateShrinks) {
   candidate.scheme =
       CompressionScheme::Uniform(CompressionType::kNullSuppression);
   candidate.benefit = 10.0;
-  SampleCFOptions options;
-  options.fraction = 0.05;
-  Random rng(2);
-  Result<SizedCandidate> sized =
-      EstimateCandidateSize(*table, candidate, options, &rng);
+  EstimationEngineOptions options;
+  options.base.fraction = 0.05;
+  options.seed = 2;
+  EstimationEngine engine(*table, options);
+  auto epoch = engine.PinEpoch();
+  ASSERT_TRUE(epoch.ok());
+  Result<SizedCandidate> sized = engine.EstimateAt(**epoch, candidate);
   ASSERT_TRUE(sized.ok());
   EXPECT_LT(sized->estimated_cf, 1.0);
   EXPECT_LT(sized->estimated_bytes, sized->uncompressed_bytes);
@@ -119,11 +121,13 @@ TEST(WhatIfTest, EstimateTracksTrueCompressedSize) {
   candidate.index = {"ix", {"city"}, false};
   candidate.scheme =
       CompressionScheme::Uniform(CompressionType::kDictionaryPage);
-  SampleCFOptions options;
-  options.fraction = 0.1;
-  Random rng(3);
-  Result<SizedCandidate> sized =
-      EstimateCandidateSize(*table, candidate, options, &rng);
+  EstimationEngineOptions options;
+  options.base.fraction = 0.1;
+  options.seed = 3;
+  EstimationEngine engine(*table, options);
+  auto epoch = engine.PinEpoch();
+  ASSERT_TRUE(epoch.ok());
+  Result<SizedCandidate> sized = engine.EstimateAt(**epoch, candidate);
   ASSERT_TRUE(sized.ok());
   // Ground truth.
   IndexBuildOptions build;
@@ -456,8 +460,9 @@ std::vector<CandidateConfiguration> EngineWorkloadCandidates() {
   return candidates;
 }
 
-TEST(LazyAdvisorTest, MatchesEagerOptimalSelectionsOnEngine) {
-  auto table = WorkloadTable(60000);
+TEST(LazyAdvisorTest, MatchesEagerOptimalSelectionsOnOneTable) {
+  Catalog catalog;
+  ASSERT_TRUE(catalog.AddTable("t", WorkloadTable(60000)).ok());
   const std::vector<CandidateConfiguration> candidates =
       EngineWorkloadCandidates();
   // A tight target keeps both paths' page-metric footprints in the
@@ -466,24 +471,24 @@ TEST(LazyAdvisorTest, MatchesEagerOptimalSelectionsOnEngine) {
   // only be compared up to its estimation precision — see search.h).
   PrecisionTarget target;
   target.rel_error = 0.02;
-  EstimationEngineOptions options;
+  CatalogEstimationServiceOptions options;
   options.base.fraction = 0.005;
   options.num_threads = 1;
   // Several bounds so take/skip decisions land on different candidates.
   for (uint64_t bound : {uint64_t{300000}, uint64_t{750000},
                          uint64_t{1200000}, uint64_t{2250000}}) {
-    // Fresh engines per pass: the eager pass grows its engine's sample.
-    EstimationEngine eager_engine(*table, options);
+    // Fresh services per pass: the eager pass grows its engine's sample.
+    CatalogEstimationService eager_service(catalog, options);
     AdaptiveBatchResult adaptive;
     Result<AdvisorRecommendation> eager =
-        AdviseConfigurations(eager_engine, candidates, bound, target,
+        AdviseConfigurations(eager_service, candidates, bound, target,
                              AdvisorStrategy::kOptimal, &adaptive);
     ASSERT_TRUE(eager.ok()) << "bound " << bound;
 
-    EstimationEngine lazy_engine(*table, options);
+    CatalogEstimationService lazy_service(catalog, options);
     LazyAdvisorStats stats;
     Result<AdvisorRecommendation> lazy = AdviseConfigurationsLazy(
-        lazy_engine, candidates, bound, target, &stats);
+        lazy_service, candidates, bound, target, &stats);
     ASSERT_TRUE(lazy.ok()) << "bound " << bound;
 
     EXPECT_EQ(SelectedNames(*eager), SelectedNames(*lazy))
@@ -540,7 +545,7 @@ TEST(LazyAdvisorTest, MatchesEagerOptimalSelectionsOnService) {
   }
 }
 
-TEST(LazyAdvisorTest, EmptyCandidatesAndMissingTable) {
+TEST(LazyAdvisorTest, EmptyCandidates) {
   Catalog catalog;
   ASSERT_TRUE(catalog.AddTable("t1", WorkloadTable(2000, 7)).ok());
   CatalogEstimationService service(catalog);
@@ -550,15 +555,6 @@ TEST(LazyAdvisorTest, EmptyCandidatesAndMissingTable) {
   ASSERT_TRUE(empty.ok());
   EXPECT_TRUE(empty->selected.empty());
   EXPECT_EQ(stats.candidates, 0u);
-
-  CandidateConfiguration c;
-  c.table_name = "missing";
-  c.index = {"ix", {"status"}, false};
-  c.scheme = CompressionScheme::Uniform(CompressionType::kNullSuppression);
-  c.benefit = 1.0;
-  std::vector<CandidateConfiguration> candidates = {c};
-  EXPECT_FALSE(
-      AdviseConfigurationsLazy(service, candidates, 1000).ok());
 }
 
 }  // namespace

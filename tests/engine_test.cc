@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include "advisor/advisor.h"
-#include "advisor/what_if.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "datagen/table_gen.h"
@@ -182,7 +181,9 @@ TEST(EngineTest, EstimateCFMatchesSampleCFResultFields) {
   engine_options.base.fraction = 0.02;
   engine_options.seed = kSeed;
   EstimationEngine engine(*table, engine_options);
-  auto batch = engine.EstimateCF(desc, scheme);
+  auto epoch = engine.PinEpoch();
+  ASSERT_TRUE(epoch.ok());
+  auto batch = engine.EstimateCFAt(**epoch, desc, scheme);
   ASSERT_TRUE(batch.ok());
 
   Random rng(kSeed);
@@ -236,22 +237,20 @@ TEST(EngineTest, DescriptorNameDoesNotDefeatTheCache) {
   EstimationEngineOptions engine_options;
   engine_options.base.fraction = 0.02;
   EstimationEngine engine(*table, engine_options);
-  ASSERT_TRUE(
-      engine.SampleIndex(IndexDescriptor{"a", {"city"}, false}).ok());
-  ASSERT_TRUE(
-      engine.SampleIndex(IndexDescriptor{"b", {"city"}, false}).ok());
+  auto epoch = engine.PinEpoch();
+  ASSERT_TRUE(epoch.ok());
+  auto build = [&](const IndexDescriptor& descriptor) {
+    return engine.SampleIndexAt(**epoch, descriptor).ok();
+  };
+  ASSERT_TRUE(build({"a", {"city"}, false}));
+  ASSERT_TRUE(build({"b", {"city"}, false}));
   EXPECT_EQ(1u, engine.cache_stats().index_builds);
   EXPECT_EQ(1u, engine.cache_stats().index_cache_hits);
 
   // Clustered vs non-clustered and different key order are distinct builds.
-  ASSERT_TRUE(
-      engine.SampleIndex(IndexDescriptor{"c", {"city"}, true}).ok());
-  ASSERT_TRUE(
-      engine.SampleIndex(IndexDescriptor{"d", {"status", "city"}, false})
-          .ok());
-  ASSERT_TRUE(
-      engine.SampleIndex(IndexDescriptor{"e", {"city", "status"}, false})
-          .ok());
+  ASSERT_TRUE(build({"c", {"city"}, true}));
+  ASSERT_TRUE(build({"d", {"status", "city"}, false}));
+  ASSERT_TRUE(build({"e", {"city", "status"}, false}));
   EXPECT_EQ(4u, engine.cache_stats().index_builds);
 }
 
@@ -291,7 +290,7 @@ TEST(EngineTest, ParallelBatchIsDeterministicUnderFixedSeed) {
 // Re-routed consumers
 // ---------------------------------------------------------------------------
 
-TEST(EngineTest, EstimateCandidateSizeStillMatchesEngine) {
+TEST(EngineTest, ExternalRngEngineMatchesSeededEngine) {
   auto table = WorkloadTable();
   auto candidates = Candidates();
   constexpr uint64_t kSeed = 42;
@@ -305,9 +304,17 @@ TEST(EngineTest, EstimateCandidateSizeStillMatchesEngine) {
   auto batch = engine.EstimateAll(candidates);
   ASSERT_TRUE(batch.ok());
 
+  // A fresh engine per candidate drawing from a caller-owned stream seeded
+  // like the batch engine's own: the draw, and so every estimate, matches.
   for (size_t i = 0; i < candidates.size(); ++i) {
     Random rng(kSeed);
-    auto single = EstimateCandidateSize(*table, candidates[i], options, &rng);
+    EstimationEngineOptions rng_options;
+    rng_options.base = options;
+    rng_options.rng = &rng;
+    EstimationEngine single_engine(*table, rng_options);
+    auto epoch = single_engine.PinEpoch();
+    ASSERT_TRUE(epoch.ok());
+    auto single = single_engine.EstimateAt(**epoch, candidates[i]);
     ASSERT_TRUE(single.ok());
     EXPECT_EQ(single->estimated_cf, (*batch)[i].estimated_cf);
     EXPECT_EQ(single->estimated_bytes, (*batch)[i].estimated_bytes);
@@ -315,7 +322,7 @@ TEST(EngineTest, EstimateCandidateSizeStillMatchesEngine) {
   }
 }
 
-TEST(EngineTest, AdviseConfigurationsSelectsUnderBound) {
+TEST(EngineTest, SelectionFromBatchStaysUnderBound) {
   auto table = WorkloadTable();
   auto candidates = Candidates();
   EstimationEngineOptions engine_options;
@@ -327,7 +334,7 @@ TEST(EngineTest, AdviseConfigurationsSelectsUnderBound) {
   uint64_t total = 0;
   for (const SizedCandidate& s : *sized) total += s.estimated_bytes;
 
-  auto rec = AdviseConfigurations(engine, candidates, total / 2);
+  auto rec = SelectConfigurations(*sized, total / 2);
   ASSERT_TRUE(rec.ok());
   EXPECT_LE(rec->total_bytes, total / 2);
   EXPECT_FALSE(rec->selected.empty());

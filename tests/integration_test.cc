@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include "advisor/advisor.h"
-#include "advisor/what_if.h"
 #include "common/stats.h"
 #include "datagen/tpch/tables.h"
 #include "estimator/analytic_model.h"
@@ -159,15 +158,25 @@ TEST_F(TpchIntegrationTest, AdvisorEndToEnd) {
   add("orders", {"ix_comment", {"o_comment"}, false},
       CompressionScheme::Uniform(CompressionType::kNullSuppression), 3.0);
 
-  SampleCFOptions options;
-  options.fraction = 0.05;
+  // One engine per candidate, all drawing from one caller-owned stream:
+  // each compressed candidate sizes on its own sample.
   Random rng(2024);
+  EstimationEngineOptions options;
+  options.base.fraction = 0.05;
+  options.rng = &rng;
   std::vector<SizedCandidate> sized;
   for (const auto& config : configs) {
     const Table& table =
         config.table_name == "lineitem" ? lineitem : orders;
-    Result<SizedCandidate> s =
-        EstimateCandidateSize(table, config, options, &rng);
+    EstimationEngine engine(table, options);
+    Result<SizedCandidate> s = Status::Internal("not sized");
+    if (IsUncompressedScheme(config.scheme)) {
+      s = engine.EstimateExact(config);  // schema arithmetic: no draw
+    } else {
+      auto epoch = engine.PinEpoch();
+      ASSERT_TRUE(epoch.ok()) << epoch.status();
+      s = engine.EstimateAt(**epoch, config);
+    }
     ASSERT_TRUE(s.ok()) << s.status();
     sized.push_back(std::move(*s));
   }

@@ -240,7 +240,6 @@ TEST(LabeledTelemetryEndToEndTest, TwoTableEstimateAllChildrenAndFlows) {
   CatalogEstimationServiceOptions options;
   options.base.fraction = 0.05;
   options.num_threads = 4;
-  options.coalesce_requests = true;
   CatalogEstimationService service(*catalog, options);
 
   // Each distinct candidate three times: one owner + two merged sharers

@@ -15,8 +15,10 @@
 #include <gtest/gtest.h>
 
 #include "advisor/advisor.h"
+#include "advisor/search.h"
 #include "common/random.h"
 #include "datagen/table_gen.h"
+#include "estimator/adaptive.h"
 #include "estimator/engine.h"
 #include "estimator/service.h"
 #include "storage/catalog.h"
@@ -188,7 +190,10 @@ TEST(ServiceTest, CrossTableBatchMatchesPerTableEnginesBitForBit) {
                               **catalog->GetTable(name), engine_options));
   }
   for (size_t i = 0; i < candidates.size(); ++i) {
-    auto single = engines.at(candidates[i].table_name)->Estimate(candidates[i]);
+    EstimationEngine& engine = *engines.at(candidates[i].table_name);
+    auto epoch = engine.PinEpoch();
+    ASSERT_TRUE(epoch.ok());
+    auto single = engine.EstimateAt(**epoch, candidates[i]);
     ASSERT_TRUE(single.ok());
     EXPECT_EQ(single->estimated_cf, (*batch)[i].estimated_cf)
         << "candidate " << i << " (" << candidates[i].index.name << ")";
@@ -260,9 +265,24 @@ TEST(ServiceTest, UnknownTableFailsTheBatchUpFront) {
   auto sized = service.EstimateAll(candidates);
   EXPECT_FALSE(sized.ok());
   EXPECT_EQ(StatusCode::kNotFound, sized.status().code());
+
+  // [present, missing, present]: every catalog-level batch surface groups
+  // through one step that resolves every table before any sample is
+  // drawn, and names the missing table's first candidate.
+  const std::vector<CandidateConfiguration> mixed = {
+      candidates[0], candidates[3], candidates[1]};
+  auto expect_not_found = [&](const Status& status) {
+    EXPECT_EQ(StatusCode::kNotFound, status.code()) << status.ToString();
+    EXPECT_EQ(0u, status.message().rfind("candidate 1 (", 0))
+        << status.ToString();
+    EXPECT_EQ(0u, service.stats().samples_drawn);
+  };
+  expect_not_found(service.EstimateAll(mixed).status());
+  expect_not_found(EstimateAllAdaptive(service, mixed, {}).status());
+  expect_not_found(AdviseConfigurationsLazy(service, mixed, 1 << 20).status());
 }
 
-TEST(ServiceTest, AdviseConfigurationsMergesAcrossTables) {
+TEST(ServiceTest, SelectionMergesAcrossTables) {
   auto catalog = TwoTableCatalog();
   const std::vector<CandidateConfiguration> candidates = MixedCandidates();
 
@@ -274,7 +294,7 @@ TEST(ServiceTest, AdviseConfigurationsMergesAcrossTables) {
   uint64_t total = 0;
   for (const SizedCandidate& s : *sized) total += s.estimated_bytes;
 
-  auto rec = AdviseConfigurations(service, candidates, total / 2);
+  auto rec = SelectConfigurations(*sized, total / 2);
   ASSERT_TRUE(rec.ok());
   EXPECT_LE(rec->total_bytes, total / 2);
   ASSERT_FALSE(rec->selected.empty());
@@ -328,12 +348,16 @@ TEST(ReservoirEngineTest, IncrementalRefreshEqualsFreshDrawOverGrownTable) {
   const IndexDescriptor desc{"ix", {"city"}, false};
   const CompressionScheme scheme =
       CompressionScheme::Uniform(CompressionType::kDictionaryPage);
-  ASSERT_TRUE(engine_a.EstimateCF(desc, scheme).ok());  // draw over base
+  auto base_epoch = engine_a.PinEpoch();  // draw over base
+  ASSERT_TRUE(base_epoch.ok());
+  ASSERT_TRUE(engine_a.EstimateCFAt(**base_epoch, desc, scheme).ok());
 
   auto range = catalog->AppendRows("orders", DeltaRows(*table_a, delta));
   ASSERT_TRUE(range.ok());
   ASSERT_TRUE(engine_a.NotifyAppend(*range).ok());
-  auto incremental = engine_a.EstimateCF(desc, scheme);
+  auto epoch_a = engine_a.PinEpoch();
+  ASSERT_TRUE(epoch_a.ok());
+  auto incremental = engine_a.EstimateCFAt(**epoch_a, desc, scheme);
   ASSERT_TRUE(incremental.ok());
 
   // Engine B: fresh, drawn in one pass over an identically grown table.
@@ -343,19 +367,13 @@ TEST(ReservoirEngineTest, IncrementalRefreshEqualsFreshDrawOverGrownTable) {
   }
   ASSERT_EQ(base_rows + delta, grown->num_rows());
   EstimationEngine engine_b(*grown, options);
-  auto fresh = engine_b.EstimateCF(desc, scheme);
+  auto epoch_b = engine_b.PinEpoch();
+  ASSERT_TRUE(epoch_b.ok());
+  auto fresh = engine_b.EstimateCFAt(**epoch_b, desc, scheme);
   ASSERT_TRUE(fresh.ok());
 
   // Same reservoir contents (row ids, slot for slot) ...
-  auto sample_a = engine_a.SampleTable();
-  auto sample_b = engine_b.SampleTable();
-  ASSERT_TRUE(sample_a.ok());
-  ASSERT_TRUE(sample_b.ok());
-  const auto* view_a = dynamic_cast<const TableView*>(*sample_a);
-  const auto* view_b = dynamic_cast<const TableView*>(*sample_b);
-  ASSERT_NE(nullptr, view_a);
-  ASSERT_NE(nullptr, view_b);
-  EXPECT_EQ(view_a->row_ids(), view_b->row_ids());
+  EXPECT_EQ((*epoch_a)->sample().row_ids(), (*epoch_b)->sample().row_ids());
 
   // ... hence bit-identical estimates.
   EXPECT_EQ(fresh->cf.value, incremental->cf.value);
@@ -380,7 +398,7 @@ TEST(ReservoirEngineTest, NotifyAppendValidatesModeAndRanges) {
   EXPECT_TRUE(engine.NotifyAppend({900, 1000}).ok());
   EXPECT_EQ(0u, engine.cache_stats().samples_drawn);
 
-  ASSERT_TRUE(engine.SampleTable().ok());
+  ASSERT_TRUE(engine.PinEpoch().ok());
   // Ranges past the table end, inverted, or non-contiguous are rejected.
   EXPECT_FALSE(engine.NotifyAppend({1000, 1200}).ok());
   EXPECT_FALSE(engine.NotifyAppend({900, 800}).ok());
@@ -391,7 +409,7 @@ TEST(ReservoirEngineTest, NotifyAppendValidatesModeAndRanges) {
   EstimationEngineOptions bad = options;
   bad.rng = &rng;
   EstimationEngine external(*table, bad);
-  EXPECT_FALSE(external.SampleTable().ok());
+  EXPECT_FALSE(external.PinEpoch().ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -452,6 +470,23 @@ TEST(ServiceTest, NotifyAppendInvalidatesOnlyTheAffectedTable) {
   EXPECT_FALSE(service.NotifyAppend("supplier", *range).ok());
 }
 
+TEST(ServiceTest, SampleGrowthIsNotARefresh) {
+  auto catalog = TwoTableCatalog();
+  CatalogEstimationServiceOptions options;
+  options.base.fraction = 0.005;
+  options.num_threads = 1;
+  CatalogEstimationService service(*catalog, options);
+
+  // Adaptive estimation grows both tables' samples (each growth bumps the
+  // sample version) without a single append.
+  PrecisionTarget target;
+  target.rel_error = 0.01;
+  auto adaptive = EstimateAllAdaptive(service, MixedCandidates(), target);
+  ASSERT_TRUE(adaptive.ok());
+  ASSERT_GT(adaptive->rounds, 1u);
+  EXPECT_EQ(0u, service.stats().refreshes);
+}
+
 TEST(ReservoirEngineTest, RejectedAppendInvalidatesNothing) {
   // Capacity 1 over a large base: a 1-row append enters the reservoir with
   // probability 1/(n+1) — the pinned seed below is one where it does not.
@@ -466,7 +501,9 @@ TEST(ReservoirEngineTest, RejectedAppendInvalidatesNothing) {
   const IndexDescriptor desc{"ix", {"status"}, false};
   const CompressionScheme scheme =
       CompressionScheme::Uniform(CompressionType::kRle);
-  ASSERT_TRUE(engine.EstimateCF(desc, scheme).ok());
+  auto epoch = engine.PinEpoch();
+  ASSERT_TRUE(epoch.ok());
+  ASSERT_TRUE(engine.EstimateCFAt(**epoch, desc, scheme).ok());
   const auto before = engine.cache_stats();
   ASSERT_EQ(1u, before.sample_version);
 
@@ -482,7 +519,9 @@ TEST(ReservoirEngineTest, RejectedAppendInvalidatesNothing) {
   EXPECT_EQ(0u, after.invalidations);
 
   // The cached index is still served.
-  ASSERT_TRUE(engine.EstimateCF(desc, scheme).ok());
+  epoch = engine.PinEpoch();
+  ASSERT_TRUE(epoch.ok());
+  ASSERT_TRUE(engine.EstimateCFAt(**epoch, desc, scheme).ok());
   EXPECT_EQ(before.index_builds, engine.cache_stats().index_builds);
   EXPECT_GT(engine.cache_stats().index_cache_hits, before.index_cache_hits);
 }

@@ -482,7 +482,10 @@ int CmdBatch(std::vector<std::string> args) {
   EstimationEngine engine(**table, options);
 
   if (precision->adaptive) {
-    auto adaptive = EstimateAllAdaptive(engine, candidates, precision->target);
+    AdaptiveEstimator estimator(
+        engine, precision->target,
+        options.num_threads == 1 ? nullptr : engine.shared_pool());
+    auto adaptive = estimator.EstimateAll(candidates);
     if (!adaptive.ok()) return Fail(adaptive.status().ToString());
     TablePrinter out({"key columns", "scheme", "est. CF'", "est. size",
                       "rows", "CF' interval", "ok"});
