@@ -193,8 +193,8 @@ void ApplyEstimate(const AdaptiveCandidateResult& r, bool point_valued,
 /// `done` accepts its trial bounds or the candidate turns point-valued.
 class ItemRefinery {
  public:
-  /// `refiner_for` maps a candidate's table name to its table's refiner.
-  ItemRefinery(std::function<CandidateRefiner*(const std::string&)>
+  /// `refiner_for` maps a candidate's table name to its table's estimator.
+  ItemRefinery(std::function<AdaptiveEstimator*(const std::string&)>
                    refiner_for,
                LazyRunCounters* stats)
       : refiner_for_(std::move(refiner_for)), stats_(stats) {}
@@ -202,13 +202,12 @@ class ItemRefinery {
   Status Refine(SearchItem* item,
                 const std::function<bool(const SearchItem&)>& done) {
     trace::Span span("lazy.refine");
-    CandidateRefiner* refiner =
-        refiner_for_(item->sized.config.table_name);
+    AdaptiveEstimator* refiner = refiner_for_(item->sized.config.table_name);
     if (refiner == nullptr) {
       return Status::InvalidArgument(
           "no refiner for table \"" + item->sized.config.table_name + "\"");
     }
-    const uint32_t rounds_before = refiner->rounds();
+    const uint32_t rounds_before = refiner->growth_steps();
     const uint64_t floor = item->sizing_floor;
     bool accepted = false;
     auto adaptor = [&](const AdaptiveCandidateResult& r) {
@@ -234,12 +233,12 @@ class ItemRefinery {
       item->was_refined = true;
       table_counters.refined.Increment();
     }
-    table_counters.refine_rounds.Add(refiner->rounds() - rounds_before);
+    table_counters.refine_rounds.Add(refiner->growth_steps() - rounds_before);
     return Status::OK();
   }
 
  private:
-  std::function<CandidateRefiner*(const std::string&)> refiner_for_;
+  std::function<AdaptiveEstimator*(const std::string&)> refiner_for_;
   LazyRunCounters* stats_;
 };
 
@@ -693,14 +692,15 @@ Result<AdvisorRecommendation> AdviseConfigurationsLazy(
       service.options().num_threads == 1 ? nullptr : service.shared_pool();
   LazyRunCounters counters;
 
-  // One refiner per table engine (validates the target once per table).
-  std::map<std::string, CandidateRefiner> refiners;
+  // One adaptive estimator per table engine (validates the target once
+  // per table).
+  std::map<std::string, AdaptiveEstimator> refiners;
   for (const CatalogEstimationService::TableGroup& group : groups) {
-    CFEST_ASSIGN_OR_RETURN(CandidateRefiner refiner,
-                           CandidateRefiner::Make(*group.engine, target));
+    CFEST_ASSIGN_OR_RETURN(AdaptiveEstimator refiner,
+                           AdaptiveEstimator::Make(*group.engine, target));
     refiners.emplace(group.engine->options().table_name, std::move(refiner));
   }
-  auto refiner_for = [&](const std::string& table) -> CandidateRefiner* {
+  auto refiner_for = [&](const std::string& table) -> AdaptiveEstimator* {
     auto it = refiners.find(table);
     return it != refiners.end() ? &it->second : nullptr;
   };
@@ -709,7 +709,8 @@ Result<AdvisorRecommendation> AdviseConfigurationsLazy(
   // (serial — growth mutates the engine), then estimate every candidate
   // once at that coarse sample.
   for (const CatalogEstimationService::TableGroup& group : groups) {
-    CandidateRefiner* refiner = refiner_for(group.engine->options().table_name);
+    AdaptiveEstimator* refiner =
+        refiner_for(group.engine->options().table_name);
     CFEST_ASSIGN_OR_RETURN(
         std::shared_ptr<const SampleEpoch> epoch,
         group.engine->GrowSampleToEpoch(std::min(
@@ -723,7 +724,7 @@ Result<AdvisorRecommendation> AdviseConfigurationsLazy(
       fan_tables ? pool : nullptr, groups.size(), [&](uint64_t g) -> Status {
         const CatalogEstimationService::TableGroup& group =
             groups[static_cast<size_t>(g)];
-        CandidateRefiner* refiner =
+        AdaptiveEstimator* refiner =
             refiner_for(group.engine->options().table_name);
         return StatusParallelFor(
             fan_tables ? nullptr : pool, group.members.size(),

@@ -21,11 +21,11 @@
 //      bound (optimistic sizes, optimistic remaining capacity) cannot
 //      strictly beat the incumbent. Benefits are caller inputs, so the
 //      objective is exact throughout — only feasibility is uncertain.
-//   3. Targeted refinement — a candidate is refined (CandidateRefiner:
-//      GrowSampleToEpoch-backed, resuming the engine's draw stream) only
-//      when its interval straddles a feasibility decision the search must
-//      commit to: it would fit at its optimistic size but not at its
-//      pessimistic one. Refinement stops as soon as the decision resolves
+//   3. Targeted refinement — a candidate is refined (AdaptiveEstimator::
+//      RefineUntil on its table's estimator: GrowSampleToEpoch-backed,
+//      resuming the engine's draw stream) only when its interval
+//      straddles a feasibility decision the search must commit to: it
+//      would fit at its optimistic size but not at its pessimistic one. Refinement stops as soon as the decision resolves
 //      or the candidate converges to the precision target, whichever is
 //      first.
 //

@@ -2,59 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <future>
-#include <mutex>
-#include <unordered_map>
 #include <utility>
 
 #include "common/metrics.h"
 #include "common/stats.h"
 #include "common/trace.h"
 #include "index/index.h"
-#include "storage/table_view.h"
 
 namespace cfest {
 namespace {
-
-/// Registry-backed adaptive-loop counters (process-wide; the loop has no
-/// long-lived stats struct of its own, so the registry is the only home).
-struct AdaptiveMetrics {
-  metrics::Counter* rounds;
-  metrics::Counter* growth_steps;
-  metrics::Counter* rows_sized;
-};
-
-/// The `cfest.adaptive.*` children for one table label (empty = the
-/// unlabeled children). Resolved through the registry once per distinct
-/// table and memoized here, so round/sizing call sites pay one map lookup
-/// per call — never per-row label resolution. Family aggregates keep the
-/// process-wide totals regardless of how traffic splits across tables.
-const AdaptiveMetrics& MetricsFor(const std::string& table_name) {
-  static Mutex* mu = new Mutex();
-  static std::unordered_map<std::string, AdaptiveMetrics>* cache =
-      new std::unordered_map<std::string, AdaptiveMetrics>();
-  MutexLock lock(*mu);
-  auto it = cache->find(table_name);
-  if (it == cache->end()) {
-    metrics::LabelSet labels;
-    if (!table_name.empty()) labels.emplace_back("table", table_name);
-    AdaptiveMetrics m{
-        metrics::MetricRegistry::Global().GetCounter("cfest.adaptive.rounds",
-                                                     labels),
-        metrics::MetricRegistry::Global().GetCounter(
-            "cfest.adaptive.growth_steps", labels),
-        metrics::MetricRegistry::Global().GetCounter(
-            "cfest.adaptive.rows_sized", labels)};
-    it = cache->emplace(table_name, m).first;
-  }
-  return it->second;
-}
-
-/// The engine's table label — how every adaptive call site picks its
-/// children (engines created by the catalog service carry the name).
-const AdaptiveMetrics& MetricsFor(const EstimationEngine& engine) {
-  return MetricsFor(engine.options().table_name);
-}
 
 constexpr const char* kMethodExact = "exact";
 constexpr const char* kMethodTheorem1 = "theorem1";
@@ -152,108 +108,24 @@ double UnseenMassFloor(double num_sigmas, uint64_t rows) {
          static_cast<double>(rows);
 }
 
-}  // namespace
-
-namespace internal {
-
-/// The g sorted group indexes over contiguous draw-order slices of
-/// `sample` — the replicate builds behind the data-dependent interval.
-Result<std::vector<Index>> BuildGroupIndexes(const Table& sample,
-                                             const IndexDescriptor& descriptor,
-                                             uint32_t groups,
-                                             const IndexBuildOptions& build) {
-  const uint64_t rows = sample.num_rows();
-  std::vector<Index> indexes;
-  indexes.reserve(groups);
-  for (uint32_t j = 0; j < groups; ++j) {
-    const uint64_t begin = rows * j / groups;
-    const uint64_t end = rows * (j + 1) / groups;
-    std::vector<RowId> positions;
-    positions.reserve(static_cast<size_t>(end - begin));
-    for (uint64_t p = begin; p < end; ++p) positions.push_back(p);
-    CFEST_ASSIGN_OR_RETURN(std::unique_ptr<TableView> view,
-                           TableView::Make(sample, std::move(positions)));
-    CFEST_ASSIGN_OR_RETURN(Index index,
-                           Index::Build(*view, descriptor, build));
-    indexes.push_back(std::move(index));
-  }
-  return indexes;
+/// The exact answer for an uncompressed candidate: CF' = 1 with a
+/// zero-width interval, from schema arithmetic and no sample. Returns false
+/// (and writes nothing) for any other scheme.
+bool SetExactInterval(const CandidateConfiguration& candidate,
+                      double num_sigmas, double* cf,
+                      ConfidenceInterval* interval, std::string* method) {
+  if (!IsUncompressedScheme(candidate.scheme)) return false;
+  *cf = 1.0;
+  *interval = ConfidenceInterval{1.0, 1.0, num_sigmas};
+  *method = kMethodExact;
+  return true;
 }
 
-/// Round-scoped cache of group index builds: the replicate indexes depend
-/// only on (key set, clustered, group count) and the current sample, so
-/// every scheme ranked on the same key set shares one set of builds —
-/// index builds dominate interval cost, exactly like the engine's
-/// sample-index cache on the estimate path. Thread-safe; concurrent first
-/// requests for a key are deduplicated with a shared future.
-class GroupIndexCache {
- public:
-  Result<std::shared_ptr<const std::vector<Index>>> Get(
-      const Table& sample, const IndexDescriptor& descriptor,
-      uint32_t groups, const IndexBuildOptions& build) {
-    // Same key convention as the engine's sample-index cache, extended by
-    // the group count.
-    std::string key = SampleIndexCacheKey(descriptor);
-    key += ':';
-    key += std::to_string(groups);
-
-    std::shared_future<Entry> future;
-    bool builder = false;
-    std::promise<Entry> promise;
-    {
-      MutexLock lock(mu_);
-      auto it = entries_.find(key);
-      if (it != entries_.end()) {
-        future = it->second;
-      } else {
-        future = promise.get_future().share();
-        entries_.emplace(key, future);
-        builder = true;
-      }
-    }
-    if (builder) {
-      Entry entry;
-      Result<std::vector<Index>> built =
-          BuildGroupIndexes(sample, descriptor, groups, build);
-      if (built.ok()) {
-        entry.indexes = std::make_shared<const std::vector<Index>>(
-            std::move(built).ValueOrDie());
-      } else {
-        entry.status = built.status();
-      }
-      promise.set_value(std::move(entry));
-    }
-    const Entry& entry = future.get();
-    CFEST_RETURN_NOT_OK(entry.status);
-    return entry.indexes;
-  }
-
- private:
-  struct Entry {
-    Status status = Status::OK();
-    std::shared_ptr<const std::vector<Index>> indexes;
-  };
-  Mutex mu_;
-  std::unordered_map<std::string, std::shared_future<Entry>> entries_
-      GUARDED_BY(mu_);
-};
-
-}  // namespace internal
-
-namespace {
-
-using internal::BuildGroupIndexes;
-using internal::GroupIndexCache;
-
+/// The interval around a sampled candidate's CF' on `epoch`.
 Result<ConfidenceInterval> EstimateCandidateIntervalImpl(
     EstimationEngine& engine, const SampleEpoch& epoch,
     const CandidateConfiguration& candidate, double cf, double num_sigmas,
-    uint32_t interval_groups, std::string* method, GroupIndexCache* cache) {
-  if (IsUncompressedScheme(candidate.scheme)) {
-    if (method != nullptr) *method = kMethodExact;
-    return ConfidenceInterval{cf, cf, num_sigmas};
-  }
-  const Table* sample = &epoch.sample();
+    uint32_t interval_groups, std::string* method) {
   const uint64_t rows = epoch.sample_rows();
   const bool is_ns = IsUniformNullSuppressionScheme(candidate.scheme);
 
@@ -263,7 +135,7 @@ Result<ConfidenceInterval> EstimateCandidateIntervalImpl(
     // Too few rows for replicates; use the worst-case bound (NS's hard
     // guarantee, and conservative-by-construction for everything else on
     // a handful of rows).
-    if (method != nullptr) *method = kMethodTheorem1;
+    *method = kMethodTheorem1;
     return Theorem1ConfidenceInterval(cf, rows, num_sigmas);
   }
 
@@ -272,22 +144,13 @@ Result<ConfidenceInterval> EstimateCandidateIntervalImpl(
   // rows/g, whose width shrinks as 1/sqrt(r) (Theorems 1-3), so the group
   // spread over sqrt(g) estimates the full-sample sigma. This is what
   // distinguishes an easy (low-variance) column from a hard one — the
-  // whole point of adapting the sample size per candidate.
+  // whole point of adapting the sample size per candidate. The replicate
+  // builds depend only on the key set and the sample, so the epoch
+  // memoizes them for every scheme ranked on the same key set.
   const SampleCFOptions& base = engine.options().base;
-  std::shared_ptr<const std::vector<Index>> shared_indexes;
-  std::vector<Index> own_indexes;
-  const std::vector<Index>* group_indexes = nullptr;
-  if (cache != nullptr) {
-    CFEST_ASSIGN_OR_RETURN(
-        shared_indexes,
-        cache->Get(*sample, candidate.index, groups, base.build));
-    group_indexes = shared_indexes.get();
-  } else {
-    CFEST_ASSIGN_OR_RETURN(
-        own_indexes,
-        BuildGroupIndexes(*sample, candidate.index, groups, base.build));
-    group_indexes = &own_indexes;
-  }
+  CFEST_ASSIGN_OR_RETURN(
+      std::shared_ptr<const std::vector<Index>> group_indexes,
+      epoch.ReplicateIndexes(candidate.index, groups, base.build));
   RunningStats group_cf;
   for (const Index& index : *group_indexes) {
     CFEST_ASSIGN_OR_RETURN(CompressedIndex compressed,
@@ -305,7 +168,7 @@ Result<ConfidenceInterval> EstimateCandidateIntervalImpl(
                        (4.0 * static_cast<double>(groups - 1));
   double half = t_sigmas * sigma;
   half = std::max(half, UnseenMassFloor(num_sigmas, rows));
-  std::string picked = kMethodGroups;
+  *method = kMethodGroups;
   if (is_ns) {
     // Theorem 1 caps the NS estimator's sigma at 1/(2 sqrt(r)) regardless
     // of the data — rare values included — so for NS the distribution-free
@@ -315,10 +178,9 @@ Result<ConfidenceInterval> EstimateCandidateIntervalImpl(
         num_sigmas * Theorem1StdDevBound(rows);
     if (worst_case < half) {
       half = worst_case;
-      picked = kMethodTheorem1;
+      *method = kMethodTheorem1;
     }
   }
-  if (method != nullptr) *method = picked;
   ConfidenceInterval ci;
   ci.num_sigmas = num_sigmas;
   ci.lower = cf - half < 0.0 ? 0.0 : cf - half;
@@ -333,54 +195,6 @@ uint64_t RowCapForTarget(const PrecisionTarget& target, uint64_t n) {
              std::llround(target.max_fraction * static_cast<double>(n))));
   if (target.row_budget > 0) cap = std::min(cap, target.row_budget);
   return cap;
-}
-
-/// One candidate's full estimate on the engine's current sample: footprint
-/// sizing (page metric), base-metric CF', interval, and target half-width —
-/// the body of one adaptive round for one candidate, shared by the round
-/// loop and CandidateRefiner. Leaves `rounds`/`converged` to the caller.
-Status EstimateCandidateNow(EstimationEngine& engine, const SampleEpoch& epoch,
-                            const CandidateConfiguration& c, double z,
-                            const PrecisionTarget& target,
-                            GroupIndexCache* cache,
-                            AdaptiveCandidateResult* r) {
-  trace::Span span("adaptive.estimate_candidate");
-  // One cached-index build + compression yields both the base-metric CF'
-  // (controlled quantity) and the page-metric footprint (what
-  // EstimationEngine::EstimateAt reports). Everything reads the pinned epoch
-  // — including the full-index scaling's row count — so the result is
-  // immune to appends streaming in concurrently.
-  CFEST_ASSIGN_OR_RETURN(SampleCFResult est,
-                         engine.EstimateCFAt(epoch, c.index, c.scheme));
-  CFEST_ASSIGN_OR_RETURN(
-      const uint64_t uncompressed,
-      EstimateUncompressedIndexBytes(engine.table(), c.index,
-                                     engine.options().base.build.page_size,
-                                     epoch.table_rows()));
-  const double page_cf =
-      MeasureCF(est.sample_uncompressed, est.sample_compressed,
-                SizeMetric::kPageBytes)
-          .value;
-  r->sized.config = c;
-  r->sized.estimated_cf = page_cf;
-  r->sized.uncompressed_bytes = uncompressed;
-  r->sized.estimated_bytes = static_cast<uint64_t>(
-      std::llround(page_cf * static_cast<double>(uncompressed)));
-  r->sized.sample_rows = est.sample_rows;
-  r->cf = est.cf.value;
-  r->rows_sampled = est.sample_rows;
-  // Accumulate, never overwrite: the round loop re-estimates into the same
-  // persistent result each round, so this sums the candidate's per-round
-  // sizing work (attribution that survives convergence dropout).
-  r->cumulative_rows_sized += est.sample_rows;
-  MetricsFor(engine).rows_sized->Add(est.sample_rows);
-  r->target_half_width = target.rel_error * std::max(r->cf, target.cf_floor);
-  CFEST_ASSIGN_OR_RETURN(
-      r->interval,
-      EstimateCandidateIntervalImpl(engine, epoch, c, r->cf, z,
-                                    target.interval_groups,
-                                    &r->interval_method, cache));
-  return Status::OK();
 }
 
 /// Rows the candidate's interval says it needs for its target half-width,
@@ -418,16 +232,13 @@ Result<std::vector<CandidateIntervalResult>> EstimateCandidateIntervals(
   // never touches the engine mutex.
   CFEST_ASSIGN_OR_RETURN(std::shared_ptr<const SampleEpoch> epoch,
                          engine.PinEpoch());
-  GroupIndexCache cache;
   std::vector<CandidateIntervalResult> results(candidates.size());
   CFEST_RETURN_NOT_OK(StatusParallelFor(
       candidates.size() > 1 ? pool : nullptr, candidates.size(),
       [&](uint64_t i) -> Status {
         CandidateIntervalResult& r = results[i];
-        if (IsUncompressedScheme(candidates[i].scheme)) {
-          r.cf = 1.0;
-          r.interval = ConfidenceInterval{1.0, 1.0, num_sigmas};
-          r.method = kMethodExact;
+        if (SetExactInterval(candidates[i], num_sigmas, &r.cf, &r.interval,
+                             &r.method)) {
           return Status::OK();
         }
         CFEST_ASSIGN_OR_RETURN(
@@ -439,22 +250,114 @@ Result<std::vector<CandidateIntervalResult>> EstimateCandidateIntervals(
             r.interval,
             EstimateCandidateIntervalImpl(engine, *epoch, candidates[i], r.cf,
                                           num_sigmas, interval_groups,
-                                          &r.method, &cache));
+                                          &r.method));
         return Status::OK();
       }));
   return results;
 }
 
 AdaptiveEstimator::AdaptiveEstimator(EstimationEngine& engine,
-                                     PrecisionTarget target, ThreadPool* pool)
-    : engine_(engine), target_(std::move(target)), pool_(pool) {}
+                                     PrecisionTarget target, ThreadPool* pool,
+                                     double num_sigmas)
+    : engine_(&engine),
+      target_(std::move(target)),
+      pool_(pool),
+      num_sigmas_(num_sigmas),
+      cap_(RowCapForTarget(target_, engine.table().num_rows())) {
+  // Resolved once per estimator, so round and sizing call sites never
+  // touch the registry; family aggregates keep the process-wide totals.
+  metrics::LabelSet labels;
+  const std::string& table_name = engine.options().table_name;
+  if (!table_name.empty()) labels.emplace_back("table", table_name);
+  metrics::MetricRegistry& registry = metrics::MetricRegistry::Global();
+  metrics_ = {registry.GetCounter("cfest.adaptive.rounds", labels),
+              registry.GetCounter("cfest.adaptive.growth_steps", labels),
+              registry.GetCounter("cfest.adaptive.rows_sized", labels)};
+}
+
+Result<AdaptiveEstimator> AdaptiveEstimator::Make(EstimationEngine& engine,
+                                                  PrecisionTarget target,
+                                                  ThreadPool* pool) {
+  CFEST_RETURN_NOT_OK(ValidateTarget(target));
+  CFEST_ASSIGN_OR_RETURN(const double z,
+                         NumSigmasForConfidence(target.confidence));
+  return AdaptiveEstimator(engine, std::move(target), pool, z);
+}
+
+Result<AdaptiveCandidateResult> AdaptiveEstimator::EstimateCandidate(
+    const CandidateConfiguration& c, const SampleEpoch* epoch) {
+  AdaptiveCandidateResult r;
+  if (SetExactInterval(c, num_sigmas_, &r.cf, &r.interval,
+                       &r.interval_method)) {
+    CFEST_ASSIGN_OR_RETURN(r.sized, engine_->EstimateExact(c));
+    r.converged = true;
+    return r;
+  }
+  // Pinning draws the sample on first use.
+  std::shared_ptr<const SampleEpoch> pinned;
+  if (epoch == nullptr) {
+    CFEST_ASSIGN_OR_RETURN(pinned, engine_->PinEpoch());
+    epoch = pinned.get();
+  }
+  trace::Span span("adaptive.estimate_candidate");
+  // One cached-index build + compression yields both the base-metric CF'
+  // (controlled quantity) and the page-metric footprint (what
+  // EstimationEngine::EstimateAt reports). Everything reads the pinned epoch
+  // — including the full-index scaling's row count — so the result is
+  // immune to appends streaming in concurrently.
+  CFEST_ASSIGN_OR_RETURN(SampleCFResult est,
+                         engine_->EstimateCFAt(*epoch, c.index, c.scheme));
+  CFEST_ASSIGN_OR_RETURN(
+      const uint64_t uncompressed,
+      EstimateUncompressedIndexBytes(engine_->table(), c.index,
+                                     engine_->options().base.build.page_size,
+                                     epoch->table_rows()));
+  const double page_cf =
+      MeasureCF(est.sample_uncompressed, est.sample_compressed,
+                SizeMetric::kPageBytes)
+          .value;
+  r.sized.config = c;
+  r.sized.estimated_cf = page_cf;
+  r.sized.uncompressed_bytes = uncompressed;
+  r.sized.estimated_bytes = static_cast<uint64_t>(
+      std::llround(page_cf * static_cast<double>(uncompressed)));
+  r.sized.sample_rows = est.sample_rows;
+  r.cf = est.cf.value;
+  r.rows_sampled = est.sample_rows;
+  r.cumulative_rows_sized = est.sample_rows;
+  metrics_.rows_sized->Add(est.sample_rows);
+  r.target_half_width = target_.rel_error * std::max(r.cf, target_.cf_floor);
+  CFEST_ASSIGN_OR_RETURN(
+      r.interval,
+      EstimateCandidateIntervalImpl(*engine_, *epoch, c, r.cf, num_sigmas_,
+                                    target_.interval_groups,
+                                    &r.interval_method));
+  r.rounds = growth_steps_;
+  r.converged = r.interval.upper - r.cf <= r.target_half_width;
+  return r;
+}
+
+Result<std::shared_ptr<const SampleEpoch>> AdaptiveEstimator::Grow(
+    uint64_t rows, uint64_t needed, uint32_t rounds) {
+  if (rows >= cap_ || rounds >= target_.max_rounds) {
+    return std::shared_ptr<const SampleEpoch>();
+  }
+  // Geometric floor guarantees O(log) rounds; the extrapolated need may
+  // jump further in one step.
+  const uint64_t geometric = static_cast<uint64_t>(
+      std::ceil(static_cast<double>(rows) * target_.growth_factor));
+  CFEST_ASSIGN_OR_RETURN(
+      std::shared_ptr<const SampleEpoch> grown,
+      engine_->GrowSampleToEpoch(std::min(cap_, std::max(needed, geometric))));
+  metrics_.growth_steps->Increment();
+  ++growth_steps_;
+  // Table exhausted below the nominal cap.
+  if (grown->sample_rows() <= rows) grown.reset();
+  return grown;
+}
 
 Result<AdaptiveBatchResult> AdaptiveEstimator::EstimateAll(
     std::span<const CandidateConfiguration> candidates) {
-  CFEST_RETURN_NOT_OK(ValidateTarget(target_));
-  CFEST_ASSIGN_OR_RETURN(const double z,
-                         NumSigmasForConfidence(target_.confidence));
-
   AdaptiveBatchResult batch;
   batch.candidates.resize(candidates.size());
   AdaptiveTableReport report;
@@ -465,19 +368,12 @@ Result<AdaptiveBatchResult> AdaptiveEstimator::EstimateAll(
   std::vector<size_t> active;
   for (size_t i = 0; i < candidates.size(); ++i) {
     if (IsUncompressedScheme(candidates[i].scheme)) {
-      AdaptiveCandidateResult& r = batch.candidates[i];
-      CFEST_ASSIGN_OR_RETURN(r.sized, engine_.EstimateExact(candidates[i]));
-      r.cf = 1.0;
-      r.interval = ConfidenceInterval{1.0, 1.0, z};
-      r.interval_method = kMethodExact;
-      r.converged = true;
+      CFEST_ASSIGN_OR_RETURN(batch.candidates[i],
+                             EstimateCandidate(candidates[i], nullptr));
     } else {
       active.push_back(i);
     }
   }
-
-  const uint64_t cap =
-      RowCapForTarget(target_, engine_.table().num_rows());
 
   if (!active.empty()) {
     // First round runs on the engine's base-fraction draw, floored at
@@ -487,27 +383,29 @@ Result<AdaptiveBatchResult> AdaptiveEstimator::EstimateAll(
     // concurrent appends, and the fan-out never touches the engine mutex.
     CFEST_ASSIGN_OR_RETURN(
         std::shared_ptr<const SampleEpoch> epoch,
-        engine_.GrowSampleToEpoch(
-            std::min(cap, std::max<uint64_t>(1, target_.min_rows))));
+        engine_->GrowSampleToEpoch(
+            std::min(cap_, std::max<uint64_t>(1, target_.min_rows))));
 
     while (true) {
       trace::Span round_span("adaptive.round");
       ++report.rounds;
-      MetricsFor(engine_).rounds->Increment();
+      metrics_.rounds->Increment();
       const uint64_t rows = epoch->sample_rows();
       report.rows_per_round.push_back(rows);
       const uint32_t round = report.rounds;
-      // Replicate index builds are shared across every scheme ranked on
-      // the same key set this round (the sample is fixed within a round).
-      GroupIndexCache group_cache;
 
       CFEST_RETURN_NOT_OK(StatusParallelFor(
           active.size() > 1 ? pool_ : nullptr, active.size(),
           [&](uint64_t k) -> Status {
             const size_t i = active[static_cast<size_t>(k)];
             AdaptiveCandidateResult& r = batch.candidates[i];
-            CFEST_RETURN_NOT_OK(EstimateCandidateNow(
-                engine_, *epoch, candidates[i], z, target_, &group_cache, &r));
+            // Re-estimated each round; the cumulative counter sums the
+            // per-round sizing work (attribution that survives convergence
+            // dropout).
+            const uint64_t sized_before = r.cumulative_rows_sized;
+            CFEST_ASSIGN_OR_RETURN(
+                r, EstimateCandidate(candidates[i], epoch.get()));
+            r.cumulative_rows_sized += sized_before;
             r.rounds = round;
             return Status::OK();
           }));
@@ -516,35 +414,22 @@ Result<AdaptiveBatchResult> AdaptiveEstimator::EstimateAll(
       std::vector<size_t> still_active;
       uint64_t max_needed = 0;
       for (size_t i : active) {
-        AdaptiveCandidateResult& r = batch.candidates[i];
-        if (r.interval.upper - r.cf <= r.target_half_width) {
-          r.converged = true;
-          continue;
-        }
-        max_needed = std::max(max_needed, NeededRowsFor(r, rows, z));
+        const AdaptiveCandidateResult& r = batch.candidates[i];
+        if (r.converged) continue;
+        max_needed = std::max(max_needed, NeededRowsFor(r, rows, num_sigmas_));
         still_active.push_back(i);
       }
       active = std::move(still_active);
       if (active.empty()) break;
-      if (rows >= cap || report.rounds >= target_.max_rounds) {
-        report.budget_exhausted = true;
-        break;
-      }
-      // Geometric floor guarantees O(log) rounds; the extrapolated need
-      // may jump further in one step.
-      const uint64_t geometric = static_cast<uint64_t>(std::ceil(
-          static_cast<double>(rows) * target_.growth_factor));
-      const uint64_t next = std::min(cap, std::max(max_needed, geometric));
-      CFEST_ASSIGN_OR_RETURN(epoch, engine_.GrowSampleToEpoch(next));
-      MetricsFor(engine_).growth_steps->Increment();
-      if (epoch->sample_rows() <= rows) {  // table exhausted below the cap
+      CFEST_ASSIGN_OR_RETURN(epoch, Grow(rows, max_needed, report.rounds));
+      if (epoch == nullptr) {
         report.budget_exhausted = true;
         break;
       }
     }
   }
 
-  report.final_sample_rows = engine_.sample_rows();
+  report.final_sample_rows = engine_->sample_rows();
   batch.total_sample_rows = report.final_sample_rows;
   batch.rounds = report.rounds;
   batch.budget_exhausted = report.budget_exhausted;
@@ -552,114 +437,37 @@ Result<AdaptiveBatchResult> AdaptiveEstimator::EstimateAll(
   return batch;
 }
 
-CandidateRefiner::CandidateRefiner(EstimationEngine& engine,
-                                   PrecisionTarget target, double num_sigmas)
-    : engine_(&engine),
-      target_(std::move(target)),
-      num_sigmas_(num_sigmas),
-      cap_(RowCapForTarget(target_, engine.table().num_rows())) {}
-
-CandidateRefiner::CandidateRefiner(CandidateRefiner&& other) noexcept
-    : engine_(other.engine_),
-      target_(std::move(other.target_)),
-      num_sigmas_(other.num_sigmas_),
-      cap_(other.cap_),
-      rounds_(other.rounds_),
-      cache_version_(other.cache_version_),
-      cache_(std::move(other.cache_)) {}
-
-CandidateRefiner& CandidateRefiner::operator=(
-    CandidateRefiner&& other) noexcept {
-  engine_ = other.engine_;
-  target_ = std::move(other.target_);
-  num_sigmas_ = other.num_sigmas_;
-  cap_ = other.cap_;
-  rounds_ = other.rounds_;
-  cache_version_ = other.cache_version_;
-  cache_ = std::move(other.cache_);
-  return *this;
-}
-
-CandidateRefiner::~CandidateRefiner() = default;
-
-Result<CandidateRefiner> CandidateRefiner::Make(EstimationEngine& engine,
-                                                PrecisionTarget target) {
-  CFEST_RETURN_NOT_OK(ValidateTarget(target));
-  CFEST_ASSIGN_OR_RETURN(const double z,
-                         NumSigmasForConfidence(target.confidence));
-  return CandidateRefiner(engine, std::move(target), z);
-}
-
-Result<CandidateRefiner::PinnedCache> CandidateRefiner::CurrentCache() {
-  // Pinning draws the sample on first use; the epoch's version identifies
-  // the sample the cache entries are built on, and handing both back as a
-  // pair keeps them coherent even if the engine grows concurrently.
-  CFEST_ASSIGN_OR_RETURN(std::shared_ptr<const SampleEpoch> epoch,
-                         engine_->PinEpoch());
-  MutexLock lock(cache_mu_);
-  if (cache_ == nullptr || epoch->version() != cache_version_) {
-    cache_ = std::make_shared<internal::GroupIndexCache>();
-    cache_version_ = epoch->version();
-  }
-  return PinnedCache{std::move(epoch), cache_};
-}
-
-Result<AdaptiveCandidateResult> CandidateRefiner::EstimateAtCurrentSample(
+Result<AdaptiveCandidateResult> AdaptiveEstimator::EstimateAtCurrentSample(
     const CandidateConfiguration& candidate) {
-  AdaptiveCandidateResult r;
-  if (IsUncompressedScheme(candidate.scheme)) {
-    CFEST_ASSIGN_OR_RETURN(r.sized, engine_->EstimateExact(candidate));
-    r.cf = 1.0;
-    r.interval = ConfidenceInterval{1.0, 1.0, num_sigmas_};
-    r.interval_method = kMethodExact;
-    r.converged = true;
-    return r;
-  }
-  CFEST_ASSIGN_OR_RETURN(PinnedCache pinned, CurrentCache());
-  CFEST_RETURN_NOT_OK(EstimateCandidateNow(*engine_, *pinned.epoch, candidate,
-                                           num_sigmas_, target_,
-                                           pinned.cache.get(), &r));
-  r.rounds = rounds_;
-  r.converged = r.interval.upper - r.cf <= r.target_half_width;
-  return r;
+  return EstimateCandidate(candidate, nullptr);
 }
 
-Result<AdaptiveCandidateResult> CandidateRefiner::RefineUntil(
+Result<AdaptiveCandidateResult> AdaptiveEstimator::RefineUntil(
     const CandidateConfiguration& candidate,
     const std::function<bool(const AdaptiveCandidateResult&)>& done,
     uint64_t min_rows) {
-  if (IsUncompressedScheme(candidate.scheme)) {
-    return EstimateAtCurrentSample(candidate);  // exact, no sampling
-  }
-  // EstimateAtCurrentSample returns a fresh result each call, so its
-  // cumulative counter covers only that one estimate; carry the running
-  // total across iterations here and stamp it before every return.
+  // Each estimate's cumulative counter covers only that one estimate;
+  // carry the running total across iterations and stamp it before every
+  // return.
   uint64_t cumulative_rows = 0;
   while (true) {
     CFEST_ASSIGN_OR_RETURN(AdaptiveCandidateResult r,
-                           EstimateAtCurrentSample(candidate));
+                           EstimateCandidate(candidate, nullptr));
     cumulative_rows += r.cumulative_rows_sized;
     r.cumulative_rows_sized = cumulative_rows;
     const uint64_t rows = r.rows_sampled;
+    // Uncompressed candidates are exact: no sample to grow.
+    if (IsUncompressedScheme(candidate.scheme)) return r;
     if (r.converged && rows >= min_rows) return r;
     if (done != nullptr && done(r)) return r;
-    if (rows >= cap_ || rounds_ >= target_.max_rounds) return r;  // budget
-    // Geometric floor guarantees O(log) rounds; the extrapolated need may
-    // jump further in one step — the round loop's schedule with this
-    // candidate as the only voter. A converged-but-below-floor candidate
-    // grows straight to the floor.
-    const uint64_t geometric = static_cast<uint64_t>(std::ceil(
-        static_cast<double>(rows) * target_.growth_factor));
+    // The round loop's schedule with this candidate as the only voter. A
+    // converged-but-below-floor candidate grows straight to the floor.
     const uint64_t needed =
         r.converged ? min_rows
                     : std::max(NeededRowsFor(r, rows, num_sigmas_), min_rows);
-    const uint64_t next = std::min(cap_, std::max(needed, geometric));
     CFEST_ASSIGN_OR_RETURN(std::shared_ptr<const SampleEpoch> grown,
-                           engine_->GrowSampleToEpoch(next));
-    MetricsFor(*engine_).growth_steps->Increment();
-    ++rounds_;
-    // Table exhausted below the nominal cap.
-    if (grown->sample_rows() <= rows) return r;
+                           Grow(rows, needed, growth_steps_));
+    if (grown == nullptr) return r;  // budget
   }
 }
 
@@ -686,8 +494,10 @@ Result<AdaptiveBatchResult> EstimateAllAdaptive(
         std::vector<CandidateConfiguration> members;
         members.reserve(group.members.size());
         for (size_t i : group.members) members.push_back(candidates[i]);
-        AdaptiveEstimator estimator(*group.engine, target,
-                                    fan_tables ? nullptr : pool);
+        CFEST_ASSIGN_OR_RETURN(
+            AdaptiveEstimator estimator,
+            AdaptiveEstimator::Make(*group.engine, target,
+                                    fan_tables ? nullptr : pool));
         CFEST_ASSIGN_OR_RETURN(subs[g], estimator.EstimateAll(members));
         return Status::OK();
       }));

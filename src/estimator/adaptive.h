@@ -20,6 +20,9 @@
 //          contiguous draw-order groups (each an i.i.d. replicate at r/g
 //          rows), the scheme is run on each, and the spread of the group
 //          estimates scaled by 1/sqrt(g) estimates the full-sample sigma.
+//          The group indexes are memoized on the sample epoch
+//          (SampleEpoch::ReplicateIndexes), so every scheme on one key
+//          set shares one set of builds.
 //   3. Candidates whose interval half-width meets the relative-error
 //      target converge and drop out of later rounds.
 //   4. For the rest, EstimateNeededSampleRows extrapolates the required
@@ -45,7 +48,7 @@
 #include <string>
 #include <vector>
 
-#include "common/mutex.h"
+#include "common/metrics.h"
 #include "common/result.h"
 #include "common/thread_pool.h"
 #include "estimator/analytic_model.h"
@@ -53,10 +56,6 @@
 #include "estimator/service.h"
 
 namespace cfest {
-
-namespace internal {
-class GroupIndexCache;
-}  // namespace internal
 
 /// \brief Caller-supplied precision contract for adaptive estimation.
 struct PrecisionTarget {
@@ -171,66 +170,67 @@ struct CandidateIntervalResult {
 };
 
 /// Batch variant: computes each candidate's base-metric CF' through the
-/// engine's cached sample indexes and attaches its interval, sharing the
-/// replicate index builds across every scheme on the same key set — the
-/// same sharing one adaptive round does. Results align with `candidates`.
-/// `pool` fans the per-candidate work out (nullptr = serial); pass the
-/// engine's or service's shared pool — the CLI's fixed-fraction --json
-/// paths do — instead of spinning a second pool. (The lazy advisor's
-/// coarse pass fans out the same way, but through
-/// CandidateRefiner::EstimateAtCurrentSample so refinement can reuse the
-/// replicate-build cache.)
+/// engine's cached sample indexes and attaches its interval. Everything
+/// reads one pinned epoch, whose replicate builds
+/// (SampleEpoch::ReplicateIndexes) every scheme on the same key set shares
+/// — as do later calls and adaptive estimates on that epoch. Results align
+/// with `candidates`. `pool` fans the per-candidate work out (nullptr =
+/// serial); pass the engine's or service's shared pool — the CLI's
+/// fixed-fraction --json paths do — instead of spinning a second pool.
 Result<std::vector<CandidateIntervalResult>> EstimateCandidateIntervals(
     EstimationEngine& engine,
     std::span<const CandidateConfiguration> candidates, double num_sigmas,
     uint32_t interval_groups = PrecisionTarget{}.interval_groups,
     ThreadPool* pool = nullptr);
 
-/// \brief Per-candidate incremental refinement — the lazy advisor's
-/// (advisor/search.h) entry point into the adaptive flow.
+/// \brief Grows one engine's sample until candidates meet the precision
+/// target (or the budget runs out) — the eager round loop and the lazy
+/// advisor's (advisor/search.h) per-candidate refinement alike.
 ///
-/// Where AdaptiveEstimator drives *all* candidates through a shared round
-/// loop, a refiner estimates and grows for one candidate at a time: the
-/// branch-and-bound search refines only candidates whose intervals
-/// straddle a take/skip or feasibility decision, so most candidates never
-/// pay for a converged estimate. Growth goes through the same
-/// GrowSampleToEpoch stream as the round loop, so the prefix property is
-/// preserved: every estimate still equals a fixed-fraction run at its
-/// rows / n under the engine seed.
+/// EstimateAll drives *all* candidates through a shared round loop;
+/// EstimateAtCurrentSample and RefineUntil estimate and grow for one
+/// candidate at a time, so a branch-and-bound search refines only the
+/// candidates whose intervals straddle a decision. Both take the same
+/// growth step through GrowSampleToEpoch, so the prefix property holds
+/// either way: every estimate equals a fixed-fraction run at its rows / n
+/// under the engine seed, and RefineUntil on one candidate takes the
+/// schedule the round loop takes when that candidate votes alone.
 ///
-/// EstimateAtCurrentSample calls may run concurrently with each other
-/// (the coarse pass fans them across the shared pool); RefineUntil grows
-/// the engine's sample and must not run concurrently with any estimate on
-/// the same engine.
-class CandidateRefiner {
+/// Estimates read one pinned epoch each, and replicate builds are
+/// memoized on it. EstimateAtCurrentSample calls may run concurrently with
+/// each other (the coarse pass fans them across the shared pool);
+/// EstimateAll and RefineUntil grow the engine's sample and — like
+/// NotifyAppend — must not run concurrently with any estimate on the same
+/// engine.
+class AdaptiveEstimator {
  public:
-  /// Validates `target` and derives the row cap from it and the engine's
-  /// table size. The engine must outlive the refiner.
-  static Result<CandidateRefiner> Make(EstimationEngine& engine,
-                                       PrecisionTarget target);
-  /// Moves are exempt from the thread-safety analysis: moving a refiner
-  /// while another thread uses it is a caller bug by contract (same as any
-  /// std type), and the analysis cannot name the moved-from object's lock.
-  CandidateRefiner(CandidateRefiner&&) noexcept NO_THREAD_SAFETY_ANALYSIS;
-  CandidateRefiner& operator=(CandidateRefiner&&) noexcept
-      NO_THREAD_SAFETY_ANALYSIS;
-  ~CandidateRefiner();
+  /// Validates `target` and derives the sigma multiplier and the row cap
+  /// from it and the engine's table size. `pool` fans EstimateAll's
+  /// per-round candidate work out (nullptr = serial). The engine and pool
+  /// must outlive the estimator.
+  static Result<AdaptiveEstimator> Make(EstimationEngine& engine,
+                                        PrecisionTarget target,
+                                        ThreadPool* pool = nullptr);
+
+  /// Runs the grow-until-tight loop over the candidates; results are
+  /// positionally aligned. The engine's sample afterwards is the grown
+  /// (final-fraction) sample.
+  Result<AdaptiveBatchResult> EstimateAll(
+      std::span<const CandidateConfiguration> candidates);
 
   /// Estimates `candidate` on the engine's current sample (no growth) and
   /// attaches its interval, target half-width, and convergence flag.
-  /// Replicate index builds are cached across calls until the sample
-  /// changes; uncompressed candidates are exact and always converged.
+  /// Uncompressed candidates are exact and always converged.
   Result<AdaptiveCandidateResult> EstimateAtCurrentSample(
       const CandidateConfiguration& candidate);
 
   /// Grows the engine's sample — geometric floor plus the 1/sqrt(r)
-  /// extrapolation, the same schedule the round loop takes when this
-  /// candidate votes alone — until the candidate converges to the
-  /// precision target, `done` returns true, or the row budget / fraction
-  /// cap / round cap is exhausted. `done` may be null (refine to
-  /// convergence) and is consulted every round, so it can stop the loop
-  /// before convergence. `min_rows` keeps convergence from being accepted
-  /// below a caller-imposed sample-size floor (the lazy advisor uses a
+  /// extrapolation — until the candidate converges to the precision
+  /// target, `done` returns true, or the row budget / fraction cap / round
+  /// cap is exhausted. `done` may be null (refine to convergence) and is
+  /// consulted every round, so it can stop the loop before convergence.
+  /// `min_rows` keeps convergence from being accepted below a
+  /// caller-imposed sample-size floor (the lazy advisor uses a
   /// page-coverage floor: a CF' interval can be tight on a sample too
   /// small for the page-granular footprint to be meaningful). A result
   /// that is neither converged-at-floor nor accepted by `done` means the
@@ -243,67 +243,43 @@ class CandidateRefiner {
   /// Row cap derived from target.max_fraction / row_budget over this
   /// engine's table.
   uint64_t row_cap() const { return cap_; }
-  /// Growth rounds performed through this refiner so far.
-  uint32_t rounds() const { return rounds_; }
-  const PrecisionTarget& target() const { return target_; }
-  /// The engine the refiner grows (layered consumers derive sizing floors
-  /// from its table size and page size).
-  EstimationEngine& engine() const { return *engine_; }
+  /// Sample growths performed through this estimator so far (RefineUntil's
+  /// round cap counts these).
+  uint32_t growth_steps() const { return growth_steps_; }
 
  private:
-  CandidateRefiner(EstimationEngine& engine, PrecisionTarget target,
-                   double num_sigmas);
-  /// A pinned epoch paired with the replicate-index cache built for its
-  /// sample. Pairing them is what makes EstimateAtCurrentSample coherent:
-  /// the estimate, the interval's replicate builds, and the full-index
-  /// scaling all read the same snapshot.
-  struct PinnedCache {
-    std::shared_ptr<const SampleEpoch> epoch;
-    std::shared_ptr<internal::GroupIndexCache> cache;
+  /// The engine table's `cfest.adaptive.*` children.
+  struct Metrics {
+    metrics::Counter* rounds;
+    metrics::Counter* growth_steps;
+    metrics::Counter* rows_sized;
   };
-  /// Pins the engine's current epoch and returns it with the replicate
-  /// cache for its sample (dropped and rebuilt whenever the sample version
-  /// moves).
-  Result<PinnedCache> CurrentCache();
+
+  AdaptiveEstimator(EstimationEngine& engine, PrecisionTarget target,
+                    ThreadPool* pool, double num_sigmas);
+
+  /// One candidate's estimate on `epoch` (nullptr = pin the current one):
+  /// exact, with no sample, for an uncompressed scheme; otherwise the
+  /// footprint sizing, base-metric CF', interval, target half-width, and
+  /// convergence flag. `cumulative_rows_sized` covers this estimate only.
+  Result<AdaptiveCandidateResult> EstimateCandidate(
+      const CandidateConfiguration& candidate, const SampleEpoch* epoch);
+
+  /// One growth step from `rows` toward `needed` rows, floored
+  /// geometrically and capped at row_cap(). Returns the grown epoch, or
+  /// null when the budget is spent: the sample is at the cap, `rounds` has
+  /// reached target.max_rounds, or the table ran out below the cap.
+  Result<std::shared_ptr<const SampleEpoch>> Grow(uint64_t rows,
+                                                  uint64_t needed,
+                                                  uint32_t rounds);
 
   EstimationEngine* engine_;
   PrecisionTarget target_;
+  ThreadPool* pool_;
   double num_sigmas_ = 0.0;
   uint64_t cap_ = 0;
-  uint32_t rounds_ = 0;
-  /// Guards the (cache_version_, cache_) pair against concurrent
-  /// EstimateAtCurrentSample calls; the GroupIndexCache itself is
-  /// thread-safe.
-  mutable Mutex cache_mu_;
-  uint64_t cache_version_ GUARDED_BY(cache_mu_) = 0;
-  std::shared_ptr<internal::GroupIndexCache> cache_ GUARDED_BY(cache_mu_);
-};
-
-/// \brief Drives one engine's sample growth until every candidate meets the
-/// precision target (or the budget runs out).
-///
-/// Uses the engine's estimate paths, which are thread-safe, but — like
-/// NotifyAppend — the growth step requires that no other thread runs
-/// estimates on this engine concurrently.
-class AdaptiveEstimator {
- public:
-  /// `pool` fans per-round candidate work out (nullptr = serial). The
-  /// engine and pool must outlive the estimator.
-  AdaptiveEstimator(EstimationEngine& engine, PrecisionTarget target,
-                    ThreadPool* pool = nullptr);
-
-  const PrecisionTarget& target() const { return target_; }
-
-  /// Runs the grow-until-tight loop over the candidates; results are
-  /// positionally aligned. The engine's sample afterwards is the grown
-  /// (final-fraction) sample.
-  Result<AdaptiveBatchResult> EstimateAll(
-      std::span<const CandidateConfiguration> candidates);
-
- private:
-  EstimationEngine& engine_;
-  PrecisionTarget target_;
-  ThreadPool* pool_;
+  uint32_t growth_steps_ = 0;
+  Metrics metrics_;
 };
 
 /// Catalog-level entry point: groups candidates by table_name

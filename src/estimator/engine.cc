@@ -190,12 +190,16 @@ Status EstimationEngine::NotifyAppend(RowRange range) {
   if (!changed) {
     // Every appended row was rejected: the sample is unchanged, so the
     // successor epoch keeps the version AND the predecessor's whole index
-    // cache (same snapshot map — in-flight builds included) and only the
-    // table-size snapshot advances. In-flight readers are untouched.
+    // and replicate caches (same snapshot maps — in-flight builds
+    // included) and only the table-size snapshot advances. In-flight
+    // readers are untouched.
     std::shared_ptr<SampleEpoch> next =
         MakeEpochLocked(sample_, reservoir_core_->items_seen());
     next->indexes_.store(
         current->indexes_.load(std::memory_order_acquire),
+        std::memory_order_relaxed);
+    next->replicates_.store(
+        current->replicates_.load(std::memory_order_acquire),
         std::memory_order_relaxed);
     PublishLocked(std::move(next));
     return Status::OK();

@@ -19,7 +19,8 @@
 //     stays fully valid until its last pinned reader drops it; its
 //     destruction is counted in EpochCounters::epochs_retired.
 //
-// The epoch's index cache is itself lock-free on the hit path: the map of
+// The epoch's index cache (and its memo of the adaptive interval's
+// replicate builds) is itself lock-free on the hit path: the map of
 // built indexes is an immutable snapshot behind an atomic shared_ptr,
 // copied-on-insert under a small per-epoch build mutex. Concurrent first
 // requests for the same key set share one build through a shared_future —
@@ -162,14 +163,39 @@ class SampleEpoch {
   Result<std::shared_ptr<const Index>> SampleIndex(
       const IndexDescriptor& descriptor, const IndexBuildOptions& build) const;
 
+  /// The `groups` sorted indexes over contiguous draw-order slices of this
+  /// epoch's sample — the replicate builds behind the adaptive estimator's
+  /// data-dependent interval (estimator/adaptive.h) — built at most once
+  /// per (key_columns, clustered, groups) for this epoch, through the same
+  /// memo as SampleIndex. Unlike sample indexes they are not counted,
+  /// traced, extended on growth, or invalidated: a successor epoch with a
+  /// new sample starts with none.
+  Result<std::shared_ptr<const std::vector<Index>>> ReplicateIndexes(
+      const IndexDescriptor& descriptor, uint32_t groups,
+      const IndexBuildOptions& build) const;
+
  private:
   friend class EstimationEngine;
 
-  struct IndexEntry {
+  /// One memoized build: its value, or the status it failed with.
+  template <typename T>
+  struct Built {
     Status status = Status::OK();
-    std::shared_ptr<const Index> index;
+    std::shared_ptr<const T> value;
   };
-  using IndexMap = std::unordered_map<std::string, std::shared_future<IndexEntry>>;
+  template <typename T>
+  using Memo = std::unordered_map<std::string, std::shared_future<Built<T>>>;
+  using IndexMap = Memo<Index>;
+  using ReplicateMap = Memo<std::vector<Index>>;
+
+  /// The copy-on-write memo behind SampleIndex and ReplicateIndexes:
+  /// returns `key`'s value, running `build` (a callable returning
+  /// Result<T>) only if no other caller registered the key first. `hit`,
+  /// if not null, reports whether the value came from the memo.
+  template <typename T, typename BuildFn>
+  Result<std::shared_ptr<const T>> Memoized(
+      std::atomic<std::shared_ptr<const Memo<T>>>* memo,
+      const std::string& key, bool* hit, BuildFn build) const;
 
   SampleEpoch(std::shared_ptr<const TableView> sample, uint64_t version,
               uint64_t table_rows, std::shared_ptr<EpochCounters> counters);
@@ -193,10 +219,12 @@ class SampleEpoch {
   uint64_t table_rows_ = 0;
   std::shared_ptr<EpochCounters> counters_;
 
-  /// Immutable snapshot map, copied-on-insert under build_mu_. Atomic
-  /// (not GUARDED_BY): the hit path reads it lock-free by design; build_mu_
-  /// serializes only the copy-on-write registration of new builds.
+  /// Immutable snapshot maps, copied-on-insert under build_mu_. Atomic
+  /// (not GUARDED_BY): the hit path reads them lock-free by design;
+  /// build_mu_ serializes only the copy-on-write registration of new
+  /// builds.
   mutable std::atomic<std::shared_ptr<const IndexMap>> indexes_;
+  mutable std::atomic<std::shared_ptr<const ReplicateMap>> replicates_;
   mutable Mutex build_mu_;
 };
 

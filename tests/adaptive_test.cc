@@ -2,9 +2,10 @@
 // the analytic-model intervals (Theorem 1 and the empirical variant) across
 // generated distributions, RNG-stream-resuming sample growth (prefix
 // equality with a fresh draw, incremental index extension, reservoir
-// replay), and the AdaptiveEstimator loop (convergence, budget exhaustion,
-// bit-equality with a fixed-fraction run at each candidate's final
-// fraction).
+// replay), the AdaptiveEstimator round loop and per-candidate refinement
+// (convergence, budget exhaustion, bit-equality with a fixed-fraction run at
+// each candidate's final fraction, one growth schedule for both), and the
+// replicate builds the sample epoch memoizes.
 
 #include <cmath>
 #include <cstring>
@@ -504,10 +505,10 @@ TEST(AdaptiveEstimatorTest, PrecisionTargetedAdvisorSelectsUnderBound) {
 }
 
 // ---------------------------------------------------------------------------
-// CandidateRefiner — the lazy advisor's per-candidate entry point
+// AdaptiveEstimator per candidate — the lazy advisor's entry point
 // ---------------------------------------------------------------------------
 
-TEST(CandidateRefinerTest, RefinesToConvergenceAndMatchesFixedFraction) {
+TEST(AdaptiveEstimatorTest, RefineUntilConvergesAndMatchesFixedFraction) {
   auto table = WorkloadTable();
   EstimationEngineOptions options;
   options.base.fraction = 0.002;
@@ -517,12 +518,12 @@ TEST(CandidateRefinerTest, RefinesToConvergenceAndMatchesFixedFraction) {
 
   PrecisionTarget target;
   target.rel_error = 0.05;
-  auto refiner = CandidateRefiner::Make(engine, target);
-  ASSERT_TRUE(refiner.ok());
+  auto estimator = AdaptiveEstimator::Make(engine, target);
+  ASSERT_TRUE(estimator.ok());
 
   const CandidateConfiguration c =
       Candidate("status", CompressionType::kNullSuppression);
-  auto refined = refiner->RefineUntil(c, nullptr);
+  auto refined = estimator->RefineUntil(c, nullptr);
   ASSERT_TRUE(refined.ok());
   EXPECT_TRUE(refined->converged);
   EXPECT_LE(refined->interval.upper - refined->cf,
@@ -543,7 +544,7 @@ TEST(CandidateRefinerTest, RefinesToConvergenceAndMatchesFixedFraction) {
   EXPECT_EQ(fixed_estimate->sample_rows, refined->rows_sampled);
 }
 
-TEST(CandidateRefinerTest, DonePredicateStopsBeforeConvergence) {
+TEST(AdaptiveEstimatorTest, RefineUntilDonePredicateStopsBeforeConvergence) {
   auto table = WorkloadTable();
   EstimationEngineOptions options;
   options.base.fraction = 0.002;
@@ -553,46 +554,237 @@ TEST(CandidateRefinerTest, DonePredicateStopsBeforeConvergence) {
 
   PrecisionTarget target;
   target.rel_error = 0.001;  // far beyond what the base sample gives
-  auto refiner = CandidateRefiner::Make(engine, target);
-  ASSERT_TRUE(refiner.ok());
+  auto estimator = AdaptiveEstimator::Make(engine, target);
+  ASSERT_TRUE(estimator.ok());
 
   const CandidateConfiguration c =
       Candidate("city", CompressionType::kDictionaryPage);
   const uint64_t rows_before = [&] {
-    auto current = refiner->EstimateAtCurrentSample(c);
+    auto current = estimator->EstimateAtCurrentSample(c);
     EXPECT_TRUE(current.ok());
     return current->rows_sampled;
   }();
   // A done-predicate that accepts immediately must not grow the sample.
-  auto accepted = refiner->RefineUntil(
+  auto accepted = estimator->RefineUntil(
       c, [](const AdaptiveCandidateResult&) { return true; });
   ASSERT_TRUE(accepted.ok());
   EXPECT_FALSE(accepted->converged);
   EXPECT_EQ(accepted->rows_sampled, rows_before);
-  EXPECT_EQ(refiner->rounds(), 0u);
+  EXPECT_EQ(estimator->growth_steps(), 0u);
 
-  // Without it the refiner grows (until the tiny target exhausts the
+  // Without it the estimator grows (until the tiny target exhausts the
   // budget), strictly past the coarse sample.
-  auto refined = refiner->RefineUntil(c, nullptr);
+  auto refined = estimator->RefineUntil(c, nullptr);
   ASSERT_TRUE(refined.ok());
   EXPECT_GT(refined->rows_sampled, rows_before);
-  EXPECT_GT(refiner->rounds(), 0u);
+  EXPECT_GT(estimator->growth_steps(), 0u);
 }
 
-TEST(CandidateRefinerTest, UncompressedCandidatesAreExact) {
+TEST(AdaptiveEstimatorTest, RefineUntilUncompressedCandidatesAreExact) {
   auto table = WorkloadTable();
   EstimationEngine engine(*table);
-  auto refiner = CandidateRefiner::Make(engine, PrecisionTarget{});
-  ASSERT_TRUE(refiner.ok());
+  auto estimator = AdaptiveEstimator::Make(engine, PrecisionTarget{});
+  ASSERT_TRUE(estimator.ok());
   const CandidateConfiguration c =
       Candidate("status", CompressionType::kNone);
-  auto result = refiner->RefineUntil(c, nullptr);
+  auto result = estimator->RefineUntil(c, nullptr);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->converged);
   EXPECT_EQ(result->rows_sampled, 0u);
   EXPECT_DOUBLE_EQ(result->cf, 1.0);
   EXPECT_EQ(result->sized.estimated_bytes, result->sized.uncompressed_bytes);
   EXPECT_EQ(engine.sample_rows(), 0u);  // no draw needed
+}
+
+TEST(AdaptiveEstimatorTest, RefineUntilTakesTheRoundLoopSchedule) {
+  // A base draw of 200 rows is already past min_rows, so the round loop's
+  // first-round floor does not move it and both paths start from the
+  // same sample.
+  auto table = WorkloadTable();
+  EstimationEngineOptions options;
+  options.base.fraction = 0.01;
+  options.seed = 42;
+  options.num_threads = 1;
+  PrecisionTarget target;
+  ASSERT_GE(static_cast<uint64_t>(options.base.fraction *
+                                  static_cast<double>(table->num_rows())),
+            target.min_rows);
+  const CandidateConfiguration c =
+      Candidate("city", CompressionType::kDictionaryPage);
+
+  EstimationEngine refine_engine(*table, options);
+  auto refiner = AdaptiveEstimator::Make(refine_engine, target);
+  ASSERT_TRUE(refiner.ok());
+  auto refined = refiner->RefineUntil(c, nullptr);
+  ASSERT_TRUE(refined.ok());
+
+  EstimationEngine loop_engine(*table, options);
+  auto looper = AdaptiveEstimator::Make(loop_engine, target);
+  ASSERT_TRUE(looper.ok());
+  auto batch = looper->EstimateAll(std::vector<CandidateConfiguration>{c});
+  ASSERT_TRUE(batch.ok());
+  const AdaptiveCandidateResult& looped = batch->candidates[0];
+
+  EXPECT_TRUE(refined->converged);
+  EXPECT_TRUE(looped.converged);
+  EXPECT_GT(refined->rows_sampled, 200u);  // the schedule actually grew
+  EXPECT_EQ(refined->rows_sampled, looped.rows_sampled);
+  EXPECT_EQ(refined->cumulative_rows_sized, looped.cumulative_rows_sized);
+  EXPECT_EQ(refined->cf, looped.cf);
+  EXPECT_EQ(refined->interval.lower, looped.interval.lower);
+  EXPECT_EQ(refined->interval.upper, looped.interval.upper);
+  EXPECT_EQ(refined->interval_method, looped.interval_method);
+  EXPECT_EQ(refiner->growth_steps(), looper->growth_steps());
+}
+
+// ---------------------------------------------------------------------------
+// Replicate builds memoized on the sample epoch
+// ---------------------------------------------------------------------------
+
+TEST(ReplicateMemoTest, IntervalCallsAndSchemesShareOneReplicateSet) {
+  auto table = WorkloadTable();
+  EstimationEngineOptions options;
+  options.base.fraction = 0.02;
+  options.seed = 42;
+  options.num_threads = 1;
+  EstimationEngine engine(*table, options);
+  auto epoch = engine.PinEpoch();
+  ASSERT_TRUE(epoch.ok());
+  const uint32_t groups = PrecisionTarget{}.interval_groups;
+  const IndexBuildOptions& build = engine.options().base.build;
+
+  // Two schemes on one key set (the index names differ; the key set does
+  // not).
+  const std::vector<CandidateConfiguration> candidates = {
+      Candidate("status", CompressionType::kRle),
+      Candidate("status", CompressionType::kNullSuppression)};
+  auto first = EstimateCandidateIntervals(engine, candidates, 1.96, groups);
+  ASSERT_TRUE(first.ok());
+  auto rle_set = (*epoch)->ReplicateIndexes(candidates[0].index, groups,
+                                            build);
+  auto ns_set = (*epoch)->ReplicateIndexes(candidates[1].index, groups,
+                                           build);
+  ASSERT_TRUE(rle_set.ok());
+  ASSERT_TRUE(ns_set.ok());
+  EXPECT_EQ(rle_set->get(), ns_set->get());
+  ASSERT_EQ((*rle_set)->size(), groups);
+  uint64_t replicate_rows = 0;
+  for (const Index& index : **rle_set) replicate_rows += index.num_rows();
+  EXPECT_EQ(replicate_rows, (*epoch)->sample_rows());
+
+  // A second batch on the same epoch reuses the set and reproduces the
+  // intervals bit for bit.
+  auto second = EstimateCandidateIntervals(engine, candidates, 1.96, groups);
+  ASSERT_TRUE(second.ok());
+  auto again = (*epoch)->ReplicateIndexes(candidates[0].index, groups,
+                                          build);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again->get(), rle_set->get());
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    EXPECT_EQ((*first)[i].cf, (*second)[i].cf);
+    EXPECT_EQ((*first)[i].interval.lower, (*second)[i].interval.lower);
+    EXPECT_EQ((*first)[i].interval.upper, (*second)[i].interval.upper);
+    EXPECT_EQ((*first)[i].method, (*second)[i].method);
+  }
+
+  // A different group count is a different replicate set.
+  auto halves = (*epoch)->ReplicateIndexes(candidates[0].index, 2, build);
+  ASSERT_TRUE(halves.ok());
+  EXPECT_NE(halves->get(), rle_set->get());
+  EXPECT_EQ((*halves)->size(), 2u);
+}
+
+TEST(ReplicateMemoTest, ReplicateBuildsAreNotCountedAsIndexTraffic) {
+  auto table = WorkloadTable();
+  EstimationEngineOptions options;
+  options.base.fraction = 0.02;
+  options.seed = 42;
+  options.num_threads = 1;
+  EstimationEngine engine(*table, options);
+  auto epoch = engine.PinEpoch();
+  ASSERT_TRUE(epoch.ok());
+  const EstimationEngine::CacheStats before = engine.cache_stats();
+
+  const CandidateConfiguration c =
+      Candidate("city", CompressionType::kDictionaryPage);
+  for (int i = 0; i < 2; ++i) {  // one build, then one memo hit
+    ASSERT_TRUE((*epoch)
+                    ->ReplicateIndexes(c.index, 8,
+                                       engine.options().base.build)
+                    .ok());
+  }
+  const EstimationEngine::CacheStats after = engine.cache_stats();
+  EXPECT_EQ(after.index_builds, before.index_builds);
+  EXPECT_EQ(after.index_cache_hits, before.index_cache_hits);
+  EXPECT_EQ(after.invalidations, before.invalidations);
+}
+
+TEST(ReplicateMemoTest, GrowthStartsAFreshReplicateSet) {
+  auto table = WorkloadTable();
+  EstimationEngineOptions options;
+  options.base.fraction = 0.01;
+  options.seed = 42;
+  options.num_threads = 1;
+  EstimationEngine engine(*table, options);
+  auto epoch = engine.PinEpoch();
+  ASSERT_TRUE(epoch.ok());
+  const CandidateConfiguration c =
+      Candidate("status", CompressionType::kRle);
+  const IndexBuildOptions& build = engine.options().base.build;
+  auto small = (*epoch)->ReplicateIndexes(c.index, 8, build);
+  ASSERT_TRUE(small.ok());
+
+  auto grown = engine.GrowSampleToEpoch(2 * (*epoch)->sample_rows());
+  ASSERT_TRUE(grown.ok());
+  ASSERT_GT((*grown)->sample_rows(), (*epoch)->sample_rows());
+  auto large = (*grown)->ReplicateIndexes(c.index, 8, build);
+  ASSERT_TRUE(large.ok());
+  EXPECT_NE(large->get(), small->get());
+  uint64_t replicate_rows = 0;
+  for (const Index& index : **large) replicate_rows += index.num_rows();
+  EXPECT_EQ(replicate_rows, (*grown)->sample_rows());
+}
+
+TEST(ReplicateMemoTest, RejectedAppendKeepsTheSetAndRefreshDropsIt) {
+  auto table = WorkloadTable();
+  EstimationEngineOptions options;
+  options.seed = 11;
+  options.maintain_reservoir = true;
+  options.reservoir_capacity = 150;
+  EstimationEngine engine(*table, options);
+  const CandidateConfiguration c =
+      Candidate("city", CompressionType::kDictionaryPage);
+  const IndexBuildOptions& build = engine.options().base.build;
+
+  // Append one row at a time: a 150-row reservoir over 20k rows rejects
+  // most of them (the sample is unchanged), and eventually takes one.
+  bool saw_rejected = false;
+  bool saw_refresh = false;
+  for (int i = 0; i < 200 && !(saw_rejected && saw_refresh); ++i) {
+    auto before = engine.PinEpoch();
+    ASSERT_TRUE(before.ok());
+    auto set = (*before)->ReplicateIndexes(c.index, 8, build);
+    ASSERT_TRUE(set.ok());
+    auto decoded = table->DecodeRow(static_cast<RowId>(i));
+    ASSERT_TRUE(decoded.ok());
+    ASSERT_TRUE(table->AppendRow(*decoded).ok());
+    const uint64_t end = table->num_rows();
+    ASSERT_TRUE(engine.NotifyAppend({end - 1, end}).ok());
+    auto after = engine.PinEpoch();
+    ASSERT_TRUE(after.ok());
+    ASSERT_NE(after->get(), before->get());  // a successor epoch either way
+    auto next = (*after)->ReplicateIndexes(c.index, 8, build);
+    ASSERT_TRUE(next.ok());
+    if ((*after)->version() == (*before)->version()) {
+      saw_rejected = true;
+      EXPECT_EQ(next->get(), set->get());
+    } else {
+      saw_refresh = true;
+      EXPECT_NE(next->get(), set->get());
+    }
+  }
+  EXPECT_TRUE(saw_rejected);
+  EXPECT_TRUE(saw_refresh);
 }
 
 TEST(EstimateAllTest, PopulatesSampleRows) {

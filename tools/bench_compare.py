@@ -10,17 +10,19 @@ against the baseline of the same filename:
     values are workload-version- and machine-specific; the snapshot's
     SHAPE is validated separately by validate_metrics_json.py);
   - machine-identity fields (thread counts, SIMD level, ...) are skipped;
-  - performance fields (names containing seconds/us/ns/ms/speedup/
-    throughput/overhead/ratio) are compared with a wide relative
-    tolerance (--perf-tolerance, default 0.60: CI runners and dev boxes
-    differ, a regression an order past that is still caught);
+  - timing fields (names containing seconds/us/ns/ms/speedup/
+    throughput/overhead/ratio, plus the per-bench SCHEDULING_KEYS whose
+    values depend on thread interleaving) are compared with a wide
+    relative tolerance (--perf-tolerance, default 0.60: CI runners and dev
+    boxes differ, a regression an order past that is still caught);
   - everything else — workload shape, equality-gate booleans, mismatch
     counts, rows-saved totals — is deterministic under the benches' fixed
     seeds and must match exactly.
 
-By default findings are WARNINGS and the exit code is 0 (CI soft-warns on
-perf drift it cannot attribute to the code under test); with --strict any
-finding exits 1 (for local A/B runs on one quiet machine).
+Deterministic drift (and a missing or reshaped bench result) exits 1.
+Timing drift only warns, since it cannot be attributed to the code under
+test on shared hardware; with --strict it exits 1 too (for local A/B runs
+on one quiet machine).
 
 Usage:
   bench_compare.py [--strict] [--perf-tolerance R] BASELINE_DIR FRESH_DIR
@@ -37,11 +39,20 @@ PERF_KEY_TOKENS = (
 )
 SKIP_KEYS = {"metrics"}
 SKIP_KEY_TOKENS = ("threads", "simd", "cpu", "host")
+# Fields that count work but whose split depends on how the OS schedules
+# the bench's threads (which request a coalescer admits, how many epochs
+# an append burst publishes), so they vary between two runs of one binary.
+SCHEDULING_KEYS = {
+    "bench_concurrent_service.json": frozenset({
+        "coalesce_admitted", "coalesce_merged", "dedup_rate",
+        "epochs_published", "scaling", "sharing",
+    }),
+}
 
 
-def is_perf_key(key):
+def is_timing_key(key, scheduling_keys):
     k = key.lower()
-    return any(tok in k for tok in PERF_KEY_TOKENS)
+    return key in scheduling_keys or any(tok in k for tok in PERF_KEY_TOKENS)
 
 
 def is_skipped_key(key):
@@ -51,45 +62,50 @@ def is_skipped_key(key):
     return any(tok in k for tok in SKIP_KEY_TOKENS)
 
 
-def compare(baseline, fresh, path, perf_tolerance, findings):
+def compare(baseline, fresh, path, perf_tolerance, scheduling_keys,
+            findings):
+    """Appends (is_timing, message) findings."""
     if isinstance(baseline, dict) and isinstance(fresh, dict):
         for key in sorted(set(baseline) | set(fresh)):
             sub = f"{path}.{key}" if path else key
             if is_skipped_key(key):
                 continue
             if key not in fresh:
-                findings.append(f"{sub}: missing from fresh run")
+                findings.append((False, f"{sub}: missing from fresh run"))
             elif key not in baseline:
-                findings.append(f"{sub}: new field (not in baseline)")
+                findings.append((False, f"{sub}: new field (not in baseline)"))
             else:
-                key_tolerance = perf_tolerance if is_perf_key(key) else None
+                timing = is_timing_key(key, scheduling_keys)
+                key_tolerance = perf_tolerance if timing else None
                 compare_value(baseline[key], fresh[key], sub, key_tolerance,
-                              perf_tolerance, findings)
+                              perf_tolerance, scheduling_keys, findings)
         return
-    compare_value(baseline, fresh, path, None, perf_tolerance, findings)
+    compare_value(baseline, fresh, path, None, perf_tolerance,
+                  scheduling_keys, findings)
 
 
 def compare_value(baseline, fresh, path, tolerance, perf_tolerance,
-                  findings):
+                  scheduling_keys, findings):
     if isinstance(baseline, dict) or isinstance(fresh, dict):
         if type(baseline) is not type(fresh):
-            findings.append(f"{path}: type changed "
-                            f"({type(baseline).__name__} -> "
-                            f"{type(fresh).__name__})")
+            findings.append((False, f"{path}: type changed "
+                                    f"({type(baseline).__name__} -> "
+                                    f"{type(fresh).__name__})"))
             return
-        compare(baseline, fresh, path, perf_tolerance, findings)
+        compare(baseline, fresh, path, perf_tolerance, scheduling_keys,
+                findings)
         return
     if isinstance(baseline, list) or isinstance(fresh, list):
         if type(baseline) is not type(fresh):
-            findings.append(f"{path}: type changed")
+            findings.append((False, f"{path}: type changed"))
             return
         if len(baseline) != len(fresh):
-            findings.append(f"{path}: length {len(baseline)} -> "
-                            f"{len(fresh)}")
+            findings.append((False, f"{path}: length {len(baseline)} -> "
+                                    f"{len(fresh)}"))
             return
         for i, (b, f) in enumerate(zip(baseline, fresh)):
             compare_value(b, f, f"{path}[{i}]", tolerance, perf_tolerance,
-                          findings)
+                          scheduling_keys, findings)
         return
     numeric = (int, float)
     if isinstance(baseline, numeric) and not isinstance(baseline, bool) \
@@ -99,21 +115,22 @@ def compare_value(baseline, fresh, path, tolerance, perf_tolerance,
             scale = max(abs(baseline), abs(fresh), 1e-12)
             drift = abs(baseline - fresh) / scale
             if drift > tolerance:
-                findings.append(
+                findings.append((True,
                     f"{path}: perf drift {drift:.0%} beyond "
-                    f"{tolerance:.0%} (baseline {baseline}, fresh {fresh})")
+                    f"{tolerance:.0%} (baseline {baseline}, fresh {fresh})"))
         else:
             # Deterministic field: must match (tiny float slack for
             # formatting round-trips).
             if isinstance(baseline, float) or isinstance(fresh, float):
                 scale = max(abs(baseline), abs(fresh), 1e-12)
                 if abs(baseline - fresh) / scale > 1e-6:
-                    findings.append(f"{path}: {baseline} -> {fresh}")
+                    findings.append((False, f"{path}: {baseline} -> {fresh}"))
             elif baseline != fresh:
-                findings.append(f"{path}: {baseline} -> {fresh}")
+                findings.append((False, f"{path}: {baseline} -> {fresh}"))
         return
     if baseline != fresh:
-        findings.append(f"{path}: {baseline!r} -> {fresh!r}")
+        findings.append((tolerance is not None,
+                         f"{path}: {baseline!r} -> {fresh!r}"))
 
 
 def load_jsonl(path):
@@ -129,9 +146,9 @@ def load_jsonl(path):
 def main(argv):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--strict", action="store_true",
-                        help="exit 1 on any finding (default: warn only)")
+                        help="exit 1 on timing drift too (default: warn)")
     parser.add_argument("--perf-tolerance", type=float, default=0.60,
-                        help="relative tolerance for perf fields")
+                        help="relative tolerance for timing fields")
     parser.add_argument("baseline_dir")
     parser.add_argument("fresh_dir")
     args = parser.parse_args(argv[1:])
@@ -144,37 +161,43 @@ def main(argv):
               file=sys.stderr)
         return 1
 
-    total = 0
+    hard = 0
+    timing = 0
     compared = 0
     for name in baseline_files:
         fresh_path = os.path.join(args.fresh_dir, name)
         if not os.path.isfile(fresh_path):
-            print(f"WARN {name}: no fresh run to compare", file=sys.stderr)
-            total += 1
+            print(f"FAIL {name}: no fresh run to compare", file=sys.stderr)
+            hard += 1
             continue
         baseline_objs = load_jsonl(os.path.join(args.baseline_dir, name))
         fresh_objs = load_jsonl(fresh_path)
         if len(baseline_objs) != len(fresh_objs):
-            print(f"WARN {name}: {len(baseline_objs)} baseline object(s) vs "
+            print(f"FAIL {name}: {len(baseline_objs)} baseline object(s) vs "
                   f"{len(fresh_objs)} fresh", file=sys.stderr)
-            total += 1
+            hard += 1
             continue
         findings = []
         for i, (b, f) in enumerate(zip(baseline_objs, fresh_objs)):
             prefix = f"[{i}]" if len(baseline_objs) > 1 else ""
-            compare(b, f, prefix, args.perf_tolerance, findings)
+            compare(b, f, prefix, args.perf_tolerance,
+                    SCHEDULING_KEYS.get(name, frozenset()), findings)
         compared += 1
-        if findings:
-            total += len(findings)
-            for finding in findings:
+        for is_timing, finding in findings:
+            if is_timing:
+                timing += 1
                 print(f"WARN {name}: {finding}", file=sys.stderr)
-        else:
+            else:
+                hard += 1
+                print(f"FAIL {name}: {finding}", file=sys.stderr)
+        if not findings:
             print(f"{name}: OK")
 
-    if total:
-        print(f"bench_compare: {total} finding(s) across "
-              f"{len(baseline_files)} baseline(s)", file=sys.stderr)
-        return 1 if args.strict else 0
+    if hard or timing:
+        print(f"bench_compare: {hard} deterministic and {timing} timing "
+              f"finding(s) across {len(baseline_files)} baseline(s)",
+              file=sys.stderr)
+        return 1 if hard or (timing and args.strict) else 0
     print(f"bench_compare: {compared} bench(es) match baseline")
     return 0
 

@@ -281,8 +281,9 @@ void PrintCandidateJson(const SizedCandidate& sized, double ci_cf,
 }
 
 /// Fixed-fraction JSON path: batch-computes the base-metric CF' estimates
-/// and their intervals (replicate index builds shared per key set, exactly
-/// like one adaptive round) and prints one line per candidate.
+/// and their intervals (replicate index builds memoized on the pinned
+/// epoch, shared per key set as in an adaptive round) and prints one line
+/// per candidate.
 Status PrintFixedCandidatesJson(EstimationEngine& engine,
                                 const std::vector<SizedCandidate>& sized,
                                 double confidence) {
@@ -482,10 +483,11 @@ int CmdBatch(std::vector<std::string> args) {
   EstimationEngine engine(**table, options);
 
   if (precision->adaptive) {
-    AdaptiveEstimator estimator(
+    auto estimator = AdaptiveEstimator::Make(
         engine, precision->target,
         options.num_threads == 1 ? nullptr : engine.shared_pool());
-    auto adaptive = estimator.EstimateAll(candidates);
+    if (!estimator.ok()) return Fail(estimator.status().ToString());
+    auto adaptive = estimator->EstimateAll(candidates);
     if (!adaptive.ok()) return Fail(adaptive.status().ToString());
     TablePrinter out({"key columns", "scheme", "est. CF'", "est. size",
                       "rows", "CF' interval", "ok"});
@@ -828,8 +830,8 @@ int CmdAdvise(std::vector<std::string> args) {
         options.base.fraction, static_cast<unsigned long long>(options.seed),
         ThreadPool::ResolveThreadCount(options.num_threads));
     if (precision->json) {
-      // Per-table batches (sharing replicate builds per key set), printed
-      // back in input order.
+      // Per-table batches (each table's epoch shares its replicate builds
+      // per key set), printed back in input order.
       auto z = NumSigmasForConfidence(precision->target.confidence);
       if (!z.ok()) return Fail(z.status().ToString());
       std::map<std::string, std::vector<size_t>> by_table;
