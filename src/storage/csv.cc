@@ -1,8 +1,19 @@
 #include "storage/csv.h"
 
-#include <cctype>
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
+#include <string_view>
 #include <vector>
+
+#include "common/metrics.h"
+#include "common/trace.h"
 
 namespace cfest {
 namespace {
@@ -30,100 +41,202 @@ Result<DataType> ParseTypeName(const std::string& name) {
   return Status::InvalidArgument("unknown type: " + name);
 }
 
-/// Splits one CSV record starting at *pos; advances *pos past the record's
-/// trailing newline. Returns false at end of input. *any_content reports
-/// whether the record contained any characters or quoting (so a genuinely
-/// blank line is distinguishable from a single quoted-empty field "").
-bool NextRecord(const std::string& text, size_t* pos,
-                std::vector<std::string>* fields, bool* any_content,
-                Status* error) {
-  fields->clear();
-  *any_content = false;
-  if (*pos >= text.size()) return false;
-  std::string field;
-  bool in_quotes = false;
-  bool field_started = false;
-  while (*pos < text.size()) {
-    const char c = text[*pos];
-    if (in_quotes) {
-      if (c == '"') {
-        if (*pos + 1 < text.size() && text[*pos + 1] == '"') {
-          field.push_back('"');
-          *pos += 2;
-          continue;
+/// Splits CSV text into records without copying unquoted fields: a field
+/// is a view into the text, and only a field that had quotes is unescaped,
+/// into a buffer reused from one record to the next.
+class RecordReader {
+ public:
+  explicit RecordReader(std::string_view text) : text_(text) {}
+
+  /// Reads the record at the cursor and advances past its line end
+  /// (\r\n, \r or \n). Returns false at end of input, or with *error set
+  /// on a malformed record. *any_content reports whether the record held
+  /// any character or quoting, so a genuinely blank line is
+  /// distinguishable from a single quoted-empty field "".
+  bool Next(bool* any_content, Status* error) {
+    fields_.clear();
+    unescaped_.clear();
+    *any_content = false;
+    const size_t n = text_.size();
+    if (pos_ >= n) return false;
+    while (true) {
+      FieldRef field{pos_, 0, false};
+      if (pos_ < n && text_[pos_] == '"') {
+        // A quote opens a quoted section only at the start of a field.
+        *any_content = true;
+        field = {unescaped_.size(), 0, true};
+        if (!UnescapeQuoted()) {
+          *error = Status::InvalidArgument("unterminated quoted CSV field");
+          return false;
         }
-        in_quotes = false;
-        ++*pos;
-        continue;
+        // Characters after the closing quote belong to the same field.
+        const size_t end = ScanUnquoted(pos_);
+        unescaped_.append(text_.data() + pos_, end - pos_);
+        pos_ = end;
+        field.size = unescaped_.size() - field.begin;
+      } else {
+        pos_ = ScanUnquoted(pos_);
+        field.size = pos_ - field.begin;
+        if (field.size > 0) *any_content = true;
       }
-      field.push_back(c);
-      ++*pos;
-      continue;
-    }
-    if (c == '"') {
-      if (!field.empty()) {
+      if (pos_ < n && text_[pos_] == '"') {
         *error = Status::InvalidArgument(
             "quote inside unquoted CSV field near offset " +
-            std::to_string(*pos));
+            std::to_string(pos_));
         return false;
       }
-      in_quotes = true;
-      field_started = true;
-      *any_content = true;
-      ++*pos;
-      continue;
-    }
-    if (c == ',') {
-      fields->push_back(std::move(field));
-      field.clear();
-      field_started = false;
-      *any_content = true;
-      ++*pos;
-      continue;
-    }
-    if (c == '\n' || c == '\r') {
-      // Consume the newline sequence and finish the record.
-      if (c == '\r' && *pos + 1 < text.size() && text[*pos + 1] == '\n') {
-        ++*pos;
+      fields_.push_back(field);
+      if (pos_ >= n) return true;
+      const char c = text_[pos_++];
+      if (c == ',') {
+        *any_content = true;
+        continue;
       }
-      ++*pos;
-      fields->push_back(std::move(field));
+      if (c == '\r' && pos_ < n && text_[pos_] == '\n') ++pos_;
       return true;
     }
-    field.push_back(c);
-    field_started = true;
-    *any_content = true;
-    ++*pos;
   }
-  if (in_quotes) {
-    *error = Status::InvalidArgument("unterminated quoted CSV field");
+
+  size_t num_fields() const { return fields_.size(); }
+
+  /// Field i of the last record; valid until the next call to Next.
+  std::string_view field(size_t i) const {
+    const FieldRef& f = fields_[i];
+    return (f.unescaped ? std::string_view(unescaped_) : text_)
+        .substr(f.begin, f.size);
+  }
+
+ private:
+  /// A field as a range of the text, or of unescaped_ for a quoted one.
+  struct FieldRef {
+    size_t begin;
+    size_t size;
+    bool unescaped;
+  };
+
+  /// First position at or after pos holding a delimiter, a line end or a
+  /// quote; the text's size if there is none.
+  size_t ScanUnquoted(size_t pos) const {
+    while (pos < text_.size()) {
+      const char c = text_[pos];
+      if (c == ',' || c == '\n' || c == '\r' || c == '"') break;
+      ++pos;
+    }
+    return pos;
+  }
+
+  /// With the cursor on an opening quote, appends the quoted section to
+  /// unescaped_ ("" stands for one quote) and moves past the closing
+  /// quote. Returns false if the text ends inside the quotes.
+  bool UnescapeQuoted() {
+    ++pos_;
+    while (pos_ < text_.size()) {
+      const size_t quote = text_.find('"', pos_);
+      if (quote == std::string_view::npos) break;
+      unescaped_.append(text_.data() + pos_, quote - pos_);
+      if (quote + 1 < text_.size() && text_[quote + 1] == '"') {
+        unescaped_.push_back('"');
+        pos_ = quote + 2;
+        continue;
+      }
+      pos_ = quote + 1;
+      return true;
+    }
     return false;
   }
-  (void)field_started;
-  fields->push_back(std::move(field));
+
+  std::string_view text_;
+  size_t pos_ = 0;
+  std::vector<FieldRef> fields_;
+  std::string unescaped_;
+};
+
+/// Parses an integer cell with strtoll's base-10 syntax: leading
+/// whitespace, an optional sign, and a NUL ends the number. Returns false
+/// if the text is not an integer; sets *saturated when strtoll would clamp
+/// the value to the int64 range. Plain [sign]digits cells of up to 18
+/// digits (which cannot overflow) skip the copy strtoll needs.
+bool ParseInteger(std::string_view text, std::string* scratch,
+                  int64_t* value, bool* saturated) {
+  *saturated = false;
+  const size_t sign = (text[0] == '-' || text[0] == '+') ? 1 : 0;
+  if (text.size() > sign && text.size() - sign <= 18) {
+    uint64_t v = 0;
+    size_t i = sign;
+    for (; i < text.size(); ++i) {
+      const unsigned digit = static_cast<unsigned char>(text[i]) - '0';
+      if (digit > 9) break;
+      v = v * 10 + digit;
+    }
+    if (i == text.size()) {
+      *value = text[0] == '-' ? -static_cast<int64_t>(v)
+                              : static_cast<int64_t>(v);
+      return true;
+    }
+  }
+  scratch->assign(text);
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(scratch->c_str(), &end, 10);
+  if (*end != '\0') return false;
+  *saturated = errno == ERANGE;
+  *value = v;
   return true;
 }
 
-Result<Value> ParseCell(const std::string& field, const DataType& type,
-                        size_t line) {
+/// Validates one cell of a record and writes its fixed-width encoding
+/// (storage/row_codec.h) to out, which has room for the column's width.
+Status EncodeCell(std::string_view field, const Column& column, size_t line,
+                  std::string* scratch, char* out) {
+  const DataType& type = column.type;
+  const uint32_t width = type.FixedWidth();
   if (type.IsString()) {
-    if (field.size() > type.FixedWidth()) {
-      return Status::OutOfRange("line " + std::to_string(line) + ": value '" +
-                                field + "' exceeds " + type.ToString());
+    if (field.size() > width) {
+      return Status::OutOfRange("line " + std::to_string(line) +
+                                ": value '" + std::string(field) +
+                                "' exceeds " + type.ToString());
     }
-    return Value::Str(field);
+    WriteStringCell(field, width, out);
+    return Status::OK();
   }
   if (field.empty()) {
     return Status::InvalidArgument("line " + std::to_string(line) +
                                    ": empty integer cell");
   }
-  char* end = nullptr;
-  const long long v = std::strtoll(field.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') {
+  int64_t value = 0;
+  bool saturated = false;
+  if (!ParseInteger(field, scratch, &value, &saturated)) {
     return Status::InvalidArgument("line " + std::to_string(line) +
-                                   ": not an integer: '" + field + "'");
+                                   ": not an integer: '" + std::string(field) +
+                                   "'");
   }
-  return Value::Int(v);
+  if (saturated || !IntegerFitsWidth(value, width)) {
+    return Status::OutOfRange("line " + std::to_string(line) +
+                              ": integer '" + std::string(field) +
+                              "' out of range for " + type.ToString() +
+                              " (column " + column.name + ")");
+  }
+  WriteIntegerCell(value, width, out);
+  return Status::OK();
+}
+
+/// Rows to reserve before parsing: one per line break, plus a last line
+/// without one. Blank lines and line breaks inside quoted fields make that
+/// an overcount, so the reservation is capped at kReserveExpansion bytes
+/// per byte of text; a table that outgrows the cap grows by doubling.
+uint64_t RowsToReserve(std::string_view text, uint32_t row_width) {
+  constexpr uint64_t kReserveExpansion = 4;
+  uint64_t lines = 1;
+  const char* end = text.data() + text.size();
+  for (const char* p = text.data();
+       (p = static_cast<const char*>(std::memchr(p, '\n', end - p))) !=
+       nullptr;
+       ++p) {
+    ++lines;
+  }
+  const uint64_t cap =
+      kReserveExpansion * text.size() / std::max<uint32_t>(row_width, 1) + 1;
+  return std::min(lines, cap);
 }
 
 bool NeedsQuoting(const std::string& s) {
@@ -182,32 +295,74 @@ std::string SchemaToSpec(const Schema& schema) {
 Result<std::unique_ptr<Table>> LoadCsv(const std::string& content,
                                        const Schema& schema,
                                        bool has_header) {
+  trace::Span span("ingest.load_csv");
   TableBuilder builder(schema);
-  size_t pos = 0;
+  builder.Reserve(RowsToReserve(content, schema.row_width()));
+  RecordReader reader(content);
+  std::string row(schema.row_width(), ' ');
+  std::string scratch;
   size_t line = 0;
-  std::vector<std::string> fields;
   bool any_content = false;
   Status error;
-  Row row(schema.num_columns());
-  while (NextRecord(content, &pos, &fields, &any_content, &error)) {
+  while (reader.Next(&any_content, &error)) {
     ++line;
     if (line == 1 && has_header) continue;
     if (!any_content) continue;  // genuinely blank line
-    if (fields.size() != schema.num_columns()) {
+    if (reader.num_fields() != schema.num_columns()) {
       return Status::InvalidArgument(
           "line " + std::to_string(line) + ": " +
-          std::to_string(fields.size()) + " fields, schema has " +
+          std::to_string(reader.num_fields()) + " fields, schema has " +
           std::to_string(schema.num_columns()));
     }
-    for (size_t c = 0; c < fields.size(); ++c) {
-      CFEST_ASSIGN_OR_RETURN(row[c],
-                             ParseCell(fields[c], schema.column(c).type,
-                                       line));
+    for (size_t c = 0; c < schema.num_columns(); ++c) {
+      CFEST_RETURN_NOT_OK(EncodeCell(reader.field(c), schema.column(c), line,
+                                     &scratch, row.data() + schema.offset(c)));
     }
-    CFEST_RETURN_NOT_OK(builder.Append(row));
+    CFEST_RETURN_NOT_OK(builder.AppendEncoded(Slice(row)));
   }
   CFEST_RETURN_NOT_OK(error);
+  static metrics::Counter* const bytes_scanned =
+      metrics::MetricRegistry::Global().GetCounter(
+          "cfest.ingest.bytes_scanned");
+  static metrics::Counter* const rows_parsed =
+      metrics::MetricRegistry::Global().GetCounter("cfest.ingest.rows_parsed");
+  bytes_scanned->Add(content.size());
+  rows_parsed->Add(builder.num_rows());
   return builder.Finish();
+}
+
+Result<std::string> ReadFileContents(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    return Status::NotFound("cannot open " + path + ": " +
+                            std::strerror(errno));
+  }
+  struct Closer {
+    int fd;
+    ~Closer() { ::close(fd); }
+  } closer{fd};
+  // A regular file is read straight into a buffer of its size; the spare
+  // byte lets the last read see end of file without growing the buffer.
+  struct stat info {};
+  const bool regular = ::fstat(fd, &info) == 0 && S_ISREG(info.st_mode);
+  std::string content(
+      regular ? static_cast<size_t>(info.st_size) + 1 : size_t{1} << 16,
+      '\0');
+  size_t filled = 0;
+  while (true) {
+    if (filled == content.size()) content.resize(2 * content.size());
+    const ssize_t got =
+        ::read(fd, content.data() + filled, content.size() - filled);
+    if (got == 0) break;
+    if (got < 0) {
+      if (errno == EINTR) continue;
+      return Status::InvalidArgument("cannot read " + path + ": " +
+                                     std::strerror(errno));
+    }
+    filled += static_cast<size_t>(got);
+  }
+  content.resize(filled);
+  return content;
 }
 
 std::string WriteCsv(const Table& table, bool header) {

@@ -5,12 +5,6 @@
 namespace cfest {
 namespace {
 
-void AppendLittleEndian(uint64_t v, uint32_t width, std::string* out) {
-  for (uint32_t i = 0; i < width; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
 int64_t ReadLittleEndian(Slice cell, uint32_t width) {
   uint64_t v = 0;
   for (uint32_t i = 0; i < width; ++i) {
@@ -40,23 +34,22 @@ Status RowCodec::EncodeCell(const Value& v, size_t col, std::string* out) const 
                                 " exceeds " + type.ToString() + " for column " +
                                 schema_.column(col).name);
     }
-    out->append(s);
-    out->append(width - s.size(), ' ');  // blank padding, as in the paper
+    const size_t at = out->size();
+    out->resize(at + width);
+    WriteStringCell(s, width, out->data() + at);
   } else {
     if (v.is_string()) {
       return Status::InvalidArgument("column " + schema_.column(col).name +
                                      " expects an integer value");
     }
     const int64_t iv = v.AsInt();
-    if (width < 8) {
-      const int64_t lo = -(1ll << (8 * width - 1));
-      const int64_t hi = (1ll << (8 * width - 1)) - 1;
-      if (iv < lo || iv > hi) {
-        return Status::OutOfRange("integer " + std::to_string(iv) +
-                                  " does not fit in " + type.ToString());
-      }
+    if (!IntegerFitsWidth(iv, width)) {
+      return Status::OutOfRange("integer " + std::to_string(iv) +
+                                " does not fit in " + type.ToString());
     }
-    AppendLittleEndian(static_cast<uint64_t>(iv), width, out);
+    const size_t at = out->size();
+    out->resize(at + width);
+    WriteIntegerCell(iv, width, out->data() + at);
   }
   return Status::OK();
 }

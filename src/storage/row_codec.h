@@ -12,7 +12,9 @@
 #define CFEST_STORAGE_ROW_CODEC_H_
 
 #include <cstdint>
+#include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -54,6 +56,28 @@ class RowCodec {
  private:
   Schema schema_;
 };
+
+/// Writes a string cell: s (at most width bytes) followed by blank padding
+/// up to width bytes.
+inline void WriteStringCell(std::string_view s, uint32_t width, char* out) {
+  std::memcpy(out, s.data(), s.size());
+  std::memset(out + s.size(), ' ', width - s.size());
+}
+
+/// Whether v fits a signed integer cell of width bytes (1..8).
+inline bool IntegerFitsWidth(int64_t v, uint32_t width) {
+  if (width >= 8) return true;
+  const int64_t bound = int64_t{1} << (8 * width - 1);
+  return v >= -bound && v < bound;
+}
+
+/// Writes an integer cell: the low width bytes of v's two's complement,
+/// little-endian. v must fit (IntegerFitsWidth).
+inline void WriteIntegerCell(int64_t v, uint32_t width, char* out) {
+  for (uint32_t i = 0; i < width; ++i) {
+    out[i] = static_cast<char>((static_cast<uint64_t>(v) >> (8 * i)) & 0xFF);
+  }
+}
 
 /// \brief The paper's null-suppressed length l of a fixed-width cell.
 ///

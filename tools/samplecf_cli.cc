@@ -25,8 +25,9 @@
 //             [--strategy greedy|optimal|lazy] [--threads N]
 //             [--target-rel-error E] [--confidence C] [--json]
 //             [fraction] [seed]
-//       Catalog-level what-if pass: loads every <name>.csv + <name>.schema
-//       pair in <dir> into a catalog and sizes a mixed-table candidate
+//       Catalog-level what-if pass: loads each <name>.csv + <name>.schema
+//       pair in <dir> that some candidate names into a catalog (the
+//       candidate file is read first) and sizes a mixed-table candidate
 //       file in one CatalogEstimationService fan-out (one engine and one
 //       sample per table, shared thread pool). Each candidate line is
 //       "table key-cols scheme [clustered] [benefit]". With --bound, also
@@ -72,6 +73,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -104,14 +106,6 @@ int Fail(const std::string& message) {
   return 1;
 }
 
-Result<std::string> ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
 Status WriteFile(const std::string& path, const std::string& content) {
   std::ofstream out(path, std::ios::binary);
   if (!out) return Status::InvalidArgument("cannot write " + path);
@@ -134,7 +128,7 @@ std::vector<std::string> SplitCommas(const std::string& s) {
 Result<std::unique_ptr<Table>> LoadTable(const std::string& csv_path,
                                          const std::string& schema_spec) {
   CFEST_ASSIGN_OR_RETURN(Schema schema, ParseSchemaSpec(schema_spec));
-  CFEST_ASSIGN_OR_RETURN(std::string content, ReadFile(csv_path));
+  CFEST_ASSIGN_OR_RETURN(std::string content, ReadFileContents(csv_path));
   return LoadCsv(content, schema, /*has_header=*/true);
 }
 
@@ -330,8 +324,9 @@ int CmdEstimate(const std::vector<std::string>& args) {
   }
   Random rng(seed);
   IndexDescriptor index{"ix", SplitCommas(args[2]), /*clustered=*/false};
-  auto result = SampleCF(**table, index, CompressionScheme::Uniform(*scheme_type),
-                         options, &rng);
+  auto result =
+      SampleCF(**table, index, CompressionScheme::Uniform(*scheme_type),
+               options, &rng);
   if (!result.ok()) return Fail(result.status().ToString());
   std::printf("rows            %llu\n",
               static_cast<unsigned long long>((*table)->num_rows()));
@@ -447,7 +442,7 @@ int CmdBatch(std::vector<std::string> args) {
   }
   auto table = LoadTable(args[0], args[1]);
   if (!table.ok()) return Fail(table.status().ToString());
-  auto spec = ReadFile(args[3]);
+  auto spec = ReadFileContents(args[3]);
   if (!spec.ok()) return Fail(spec.status().ToString());
 
   std::vector<CandidateConfiguration> candidates;
@@ -656,8 +651,28 @@ int CmdAdvise(std::vector<std::string> args) {
                 std::string(kUsage));
   }
 
-  // Every <name>.schema + <name>.csv pair in the directory becomes a
-  // catalog table (the layout gen-tpch writes).
+  auto spec = ReadFileContents(*candidates_path);
+  if (!spec.ok()) return Fail(spec.status().ToString());
+  std::vector<CandidateConfiguration> candidates;
+  std::set<std::string> referenced;
+  std::istringstream lines(*spec);
+  std::string line;
+  size_t line_number = 0;
+  while (std::getline(lines, line)) {
+    ++line_number;
+    const size_t start = line.find_first_not_of(" \t\r");
+    if (start == std::string::npos || line[start] == '#') continue;
+    auto candidate = ParseCatalogCandidateLine(line, line_number);
+    if (!candidate.ok()) return Fail(candidate.status().ToString());
+    referenced.insert(candidate->table_name);
+    candidates.push_back(std::move(*candidate));
+  }
+  if (candidates.empty()) return Fail("no candidates in " + *candidates_path);
+
+  // Each <name>.schema + <name>.csv pair in the directory (the layout
+  // gen-tpch writes) whose table some candidate names becomes a catalog
+  // table. A candidate naming a table with no schema file fails in the
+  // service's GroupByTable, like any other unknown table.
   Catalog catalog;
   std::error_code ec;
   std::vector<std::string> stems;
@@ -671,31 +686,16 @@ int CmdAdvise(std::vector<std::string> args) {
   if (stems.empty()) return Fail("no .schema files in " + *catalog_dir);
   std::sort(stems.begin(), stems.end());
   for (const std::string& stem : stems) {
-    auto spec = ReadFile(*catalog_dir + "/" + stem + ".schema");
-    if (!spec.ok()) return Fail(spec.status().ToString());
-    auto table = LoadTable(*catalog_dir + "/" + stem + ".csv", *spec);
+    if (referenced.count(stem) == 0) continue;
+    auto schema_spec = ReadFileContents(*catalog_dir + "/" + stem + ".schema");
+    if (!schema_spec.ok()) return Fail(schema_spec.status().ToString());
+    auto table = LoadTable(*catalog_dir + "/" + stem + ".csv", *schema_spec);
     if (!table.ok()) return Fail(table.status().ToString());
     std::printf("loaded %-12s %8llu rows\n", stem.c_str(),
                 static_cast<unsigned long long>((*table)->num_rows()));
     Status st = catalog.AddTable(stem, std::move(*table));
     if (!st.ok()) return Fail(st.ToString());
   }
-
-  auto spec = ReadFile(*candidates_path);
-  if (!spec.ok()) return Fail(spec.status().ToString());
-  std::vector<CandidateConfiguration> candidates;
-  std::istringstream lines(*spec);
-  std::string line;
-  size_t line_number = 0;
-  while (std::getline(lines, line)) {
-    ++line_number;
-    const size_t start = line.find_first_not_of(" \t\r");
-    if (start == std::string::npos || line[start] == '#') continue;
-    auto candidate = ParseCatalogCandidateLine(line, line_number);
-    if (!candidate.ok()) return Fail(candidate.status().ToString());
-    candidates.push_back(std::move(*candidate));
-  }
-  if (candidates.empty()) return Fail("no candidates in " + *candidates_path);
 
   CatalogEstimationServiceOptions options;
   options.base.fraction = 0.01;
