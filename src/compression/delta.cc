@@ -16,6 +16,14 @@ int64_t UnZigZag(uint64_t v) {
   return static_cast<int64_t>((v >> 1) ^ (~(v & 1) + 1));
 }
 
+/// v - prev in wrapping two's-complement arithmetic: keys far apart (say
+/// INT64_MIN after INT64_MAX) have a difference outside int64_t, which the
+/// encoding stores modulo 2^64 and decoding adds back modulo 2^64.
+int64_t WrappingDelta(int64_t v, int64_t prev) {
+  return static_cast<int64_t>(static_cast<uint64_t>(v) -
+                              static_cast<uint64_t>(prev));
+}
+
 size_t VarintSize(uint64_t v) {
   size_t bytes = 1;
   while (v >= 0x80) {
@@ -68,7 +76,7 @@ class DeltaChunk final : public ColumnChunkCompressor {
   size_t CostWith(const Slice& cell) override {
     const int64_t v = DecodeCellValue(cell, type_.FixedWidth());
     if (count_ == 0) return Cost() + 8;
-    return Cost() + VarintSize(ZigZag(v - prev_));
+    return Cost() + VarintSize(ZigZag(WrappingDelta(v, prev_)));
   }
 
   void Add(const Slice& cell) override {
@@ -80,7 +88,7 @@ class DeltaChunk final : public ColumnChunkCompressor {
             static_cast<char>((static_cast<uint64_t>(v) >> (8 * i)) & 0xFF));
       }
     } else {
-      PutVarint(ZigZag(v - prev_), &buf_);
+      PutVarint(ZigZag(WrappingDelta(v, prev_)), &buf_);
     }
     prev_ = v;
     ++count_;
@@ -148,7 +156,8 @@ class DeltaCompressor final : public ColumnCompressor {
       if (!GetVarint(chunk, &pos, &zz)) {
         return Status::Corruption("delta chunk truncated varint");
       }
-      value += UnZigZag(zz);
+      value = static_cast<int64_t>(static_cast<uint64_t>(value) +
+                                   static_cast<uint64_t>(UnZigZag(zz)));
       AppendCell(value, cells);
     }
     if (pos != chunk.size()) {

@@ -8,6 +8,7 @@
 #include "common/stats.h"
 #include "common/trace.h"
 #include "index/index.h"
+#include "sampling/sampler.h"
 
 namespace cfest {
 namespace {
@@ -188,15 +189,6 @@ Result<ConfidenceInterval> EstimateCandidateIntervalImpl(
   return ci;
 }
 
-/// The sample-row cap the target imposes over an n-row table.
-uint64_t RowCapForTarget(const PrecisionTarget& target, uint64_t n) {
-  uint64_t cap = std::max<uint64_t>(
-      1, static_cast<uint64_t>(
-             std::llround(target.max_fraction * static_cast<double>(n))));
-  if (target.row_budget > 0) cap = std::min(cap, target.row_budget);
-  return cap;
-}
-
 /// Rows the candidate's interval says it needs for its target half-width,
 /// by the interval's own shrinkage law: Theorem-1 closed form for the
 /// distribution-free bound, linear extrapolation when the unseen-mass
@@ -223,6 +215,22 @@ uint64_t NeededRowsFor(const AdaptiveCandidateResult& r, uint64_t rows,
 
 }  // namespace
 
+uint64_t RowCapForTarget(const PrecisionTarget& target, uint64_t n) {
+  uint64_t cap = std::max<uint64_t>(
+      1, static_cast<uint64_t>(
+             std::llround(target.max_fraction * static_cast<double>(n))));
+  if (target.row_budget > 0) cap = std::min(cap, target.row_budget);
+  return cap;
+}
+
+uint64_t MaxRowsDrawn(double fraction, const PrecisionTarget* growth,
+                      uint64_t n) {
+  uint64_t rows =
+      CheckFraction(fraction).ok() ? SampleRowsForFraction(fraction, n) : 0;
+  if (growth != nullptr) rows = std::max(rows, RowCapForTarget(*growth, n));
+  return rows;
+}
+
 Result<std::vector<CandidateIntervalResult>> EstimateCandidateIntervals(
     EstimationEngine& engine,
     std::span<const CandidateConfiguration> candidates, double num_sigmas,
@@ -232,6 +240,7 @@ Result<std::vector<CandidateIntervalResult>> EstimateCandidateIntervals(
   // never touches the engine mutex.
   CFEST_ASSIGN_OR_RETURN(std::shared_ptr<const SampleEpoch> epoch,
                          engine.PinEpoch());
+  trace::Span span("adaptive.intervals");
   std::vector<CandidateIntervalResult> results(candidates.size());
   CFEST_RETURN_NOT_OK(StatusParallelFor(
       candidates.size() > 1 ? pool : nullptr, candidates.size(),

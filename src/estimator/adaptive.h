@@ -85,6 +85,20 @@ struct PrecisionTarget {
   uint32_t max_rounds = 32;
 };
 
+/// The sample-row cap `target` imposes over an n-row table:
+/// round(max_fraction * n), at least 1, and at most row_budget when that is
+/// set. No adaptive growth (eager or lazy) takes a sample past it.
+uint64_t RowCapForTarget(const PrecisionTarget& target, uint64_t n);
+
+/// Ids of its seed's with-replacement stream that an engine sampling
+/// `fraction` of an n-row table ever reads: its initial draw of
+/// round(fraction * n) rows, and with `growth` (adaptive or lazy runs, which
+/// grow the sample toward that target) up to RowCapForTarget as well. The
+/// sampled CSV loader parses exactly these rows (DistinctDrawnIds). An
+/// invalid fraction reads none: the draw then fails on the fraction.
+uint64_t MaxRowsDrawn(double fraction, const PrecisionTarget* growth,
+                      uint64_t n);
+
 /// True when every column of `scheme` is null-suppressed — the per-row-
 /// local case Theorem 1's distribution-free bound is stated for, and the
 /// only case whose confidence interval also bounds the error against the

@@ -104,9 +104,7 @@ Status EstimationEngine::DrawInitialLocked() {
     uint64_t capacity = options_.reservoir_capacity;
     if (capacity == 0) {
       CFEST_RETURN_NOT_OK(CheckFraction(options_.base.fraction));
-      capacity = std::max<uint64_t>(
-          1, static_cast<uint64_t>(
-                 std::llround(options_.base.fraction * static_cast<double>(n))));
+      capacity = SampleRowsForFraction(options_.base.fraction, n);
     }
     reservoir_rng_.Seed(options_.seed);
     reservoir_core_.emplace(capacity);
@@ -279,18 +277,20 @@ Result<std::shared_ptr<const SampleEpoch>> EstimationEngine::GrowSampleToEpoch(
   // Resume the seed's with-replacement draw stream: ids [current, target)
   // are exactly the ids a fresh draw of `target` rows would append after
   // the first `current`, so the grown sample equals a fixed-fraction draw
-  // at target / num_rows under the same seed.
+  // at target / num_rows under the same seed. The stream advances only
+  // once the grown view exists: a growth refused by the table (a
+  // PartialTable without the drawn rows) leaves the engine as it was.
+  Random rng = draw_rng_;
   std::vector<RowId> delta_ids;
-  delta_ids.reserve(static_cast<size_t>(target - current_rows));
-  for (uint64_t i = current_rows; i < target; ++i) {
-    delta_ids.push_back(draw_rng_.NextBounded(draw_table_rows_));
-  }
+  DrawIdsWithReplacement(draw_table_rows_, target - current_rows, &rng,
+                         &delta_ids);
   std::vector<RowId> grown_ids = sample_->row_ids();
   grown_ids.insert(grown_ids.end(), delta_ids.begin(), delta_ids.end());
   CFEST_ASSIGN_OR_RETURN(std::unique_ptr<TableView> grown,
                          TableView::Make(table_, std::move(grown_ids)));
   CFEST_ASSIGN_OR_RETURN(std::unique_ptr<TableView> delta_view,
                          TableView::Make(table_, std::move(delta_ids)));
+  draw_rng_ = rng;
 
   ++version_;
   std::shared_ptr<SampleEpoch> next =

@@ -17,6 +17,30 @@ Status CheckFraction(double fraction) {
   return Status::OK();
 }
 
+uint64_t SampleRowsForFraction(double fraction, uint64_t num_rows) {
+  const double r = std::round(fraction * static_cast<double>(num_rows));
+  return std::max<uint64_t>(1, static_cast<uint64_t>(r));
+}
+
+void DrawIdsWithReplacement(uint64_t num_rows, uint64_t count, Random* rng,
+                            std::vector<RowId>* ids) {
+  ids->reserve(ids->size() + count);
+  for (uint64_t i = 0; i < count; ++i) {
+    ids->push_back(rng->NextBounded(num_rows));
+  }
+}
+
+std::vector<RowId> DistinctDrawnIds(uint64_t seed, uint64_t num_rows,
+                                    uint64_t draws) {
+  std::vector<RowId> ids;
+  if (num_rows == 0) return ids;
+  Random rng(seed);
+  DrawIdsWithReplacement(num_rows, draws, &rng, &ids);
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  return ids;
+}
+
 Result<std::unique_ptr<Table>> MaterializeSample(
     const Table& table, const std::vector<RowId>& ids) {
   TableBuilder builder(table.schema());
@@ -27,6 +51,7 @@ Result<std::unique_ptr<Table>> MaterializeSample(
                                 " >= table size " +
                                 std::to_string(table.num_rows()));
     }
+    CFEST_RETURN_NOT_OK(table.CheckRowLoaded(id));
     CFEST_RETURN_NOT_OK(builder.AppendEncoded(table.row(id)));
   }
   return builder.Finish();
@@ -50,11 +75,6 @@ Result<std::unique_ptr<TableView>> RowSampler::SampleView(const Table& table,
 
 namespace {
 
-uint64_t TargetRows(const Table& table, double fraction) {
-  const double r = std::round(fraction * static_cast<double>(table.num_rows()));
-  return std::max<uint64_t>(1, static_cast<uint64_t>(r));
-}
-
 class UniformWithReplacementSampler final : public RowSampler {
  public:
   std::string name() const override { return "uniform_wr"; }
@@ -65,12 +85,10 @@ class UniformWithReplacementSampler final : public RowSampler {
     if (table.num_rows() == 0) {
       return Status::InvalidArgument("cannot sample an empty table");
     }
-    const uint64_t r = TargetRows(table, fraction);
     std::vector<RowId> ids;
-    ids.reserve(r);
-    for (uint64_t i = 0; i < r; ++i) {
-      ids.push_back(rng->NextBounded(table.num_rows()));
-    }
+    DrawIdsWithReplacement(table.num_rows(),
+                           SampleRowsForFraction(fraction, table.num_rows()),
+                           rng, &ids);
     return ids;
   }
 };
@@ -86,7 +104,7 @@ class UniformWithoutReplacementSampler final : public RowSampler {
       return Status::InvalidArgument("cannot sample an empty table");
     }
     const uint64_t n = table.num_rows();
-    const uint64_t r = std::min(TargetRows(table, fraction), n);
+    const uint64_t r = std::min(SampleRowsForFraction(fraction, n), n);
     // Robert Floyd's sampling algorithm: r distinct ids in O(r) expected.
     std::unordered_set<RowId> chosen;
     chosen.reserve(static_cast<size_t>(r) * 2);
@@ -137,7 +155,7 @@ class ReservoirRowSampler final : public RowSampler {
       return Status::InvalidArgument("cannot sample an empty table");
     }
     const uint64_t n = table.num_rows();
-    const uint64_t r = std::min(TargetRows(table, fraction), n);
+    const uint64_t r = std::min(SampleRowsForFraction(fraction, n), n);
     // Vitter's Algorithm R via the shared slot core (sampling/reservoir.h).
     ReservoirSampler core(r);
     std::vector<RowId> reservoir(static_cast<size_t>(r), 0);
@@ -173,7 +191,7 @@ class BlockSampler final : public RowSampler {
     }
     const uint64_t n = table.num_rows();
     const uint64_t num_blocks = (n + block - 1) / block;
-    const uint64_t target = TargetRows(table, fraction);
+    const uint64_t target = SampleRowsForFraction(fraction, n);
 
     // Sample whole blocks without replacement until >= target rows.
     std::vector<uint64_t> block_ids(num_blocks);

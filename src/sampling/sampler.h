@@ -56,6 +56,27 @@ Result<std::unique_ptr<Table>> MaterializeSample(const Table& table,
 /// Validates a sampling fraction.
 Status CheckFraction(double fraction);
 
+/// Rows a fixed-fraction sample of a `num_rows`-row table holds:
+/// round(fraction * num_rows), at least 1. fraction must be valid
+/// (CheckFraction).
+uint64_t SampleRowsForFraction(double fraction, uint64_t num_rows);
+
+/// Appends `count` row ids drawn uniformly with replacement from
+/// [0, num_rows) by `rng` (num_rows > 0). This is the one with-replacement
+/// draw: the uniform-with-replacement sampler, an engine's resumed growth
+/// stream and the sampled CSV loader all take their ids from it, so the
+/// same seed yields the same ids everywhere.
+void DrawIdsWithReplacement(uint64_t num_rows, uint64_t count, Random* rng,
+                            std::vector<RowId>* ids);
+
+/// The distinct ids, ascending, among the first `draws` ids that
+/// Random(seed) draws with replacement over [0, num_rows): every row a
+/// with-replacement sample seeded by `seed` reads while it holds at most
+/// `draws` rows (an engine's growth resumes its initial draw's stream).
+/// Empty when num_rows is 0.
+std::vector<RowId> DistinctDrawnIds(uint64_t seed, uint64_t num_rows,
+                                    uint64_t draws);
+
 /// \brief Uniform sampling with replacement: r = round(f*n) independent
 /// draws. This is the sampler the paper's theorems are stated for.
 std::unique_ptr<RowSampler> MakeUniformWithReplacementSampler();

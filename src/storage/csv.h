@@ -2,7 +2,9 @@
 //
 // CSV import/export, whole-file reads, and a compact textual schema
 // notation, so the CLI tool (tools/samplecf_cli) can estimate compression
-// fractions for user data without writing any C++.
+// fractions for user data without writing any C++. A CSV text loads in
+// full (LoadCsv) or, for sample-based estimates, with only the records a
+// sample draws (CsvRecordIndex).
 //
 // Schema spec grammar:  "name:type[,name:type...]" with type one of
 //   int32 | int64 | date | decimal | char(k) | varchar(k)
@@ -11,10 +13,14 @@
 #ifndef CFEST_STORAGE_CSV_H_
 #define CFEST_STORAGE_CSV_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/result.h"
+#include "storage/partial_table.h"
 #include "storage/table.h"
 
 namespace cfest {
@@ -55,6 +61,59 @@ std::string SchemaToSpec(const Schema& schema);
 Result<std::unique_ptr<Table>> LoadCsv(const std::string& content,
                                        const Schema& schema,
                                        bool has_header = true);
+
+/// \brief The data records of a CSV text, indexed in one pass so that a
+/// sample can parse only the records it draws (sampled ingest).
+///
+/// Build walks every byte once: a memchr scan of line breaks when the text
+/// holds no quote and no carriage return, LoadCsv's own record reader
+/// otherwise. It drops the header and blank lines, so num_records() is the
+/// row count n of a full LoadCsv, and keeps each data record's offset.
+/// Parse then encodes only the given records into a PartialTable of n
+/// rows.
+///
+/// Validation contract: `exact` validates every cell; sample-based
+/// commands validate what they read.
+///   - Build checks the structure of every record: its boundaries, its
+///     quoting and its field count. It fails on the first structural
+///     error in file order, with LoadCsv's message.
+///   - Parse checks cell contents (type, width, integer range) only for
+///     the records it parses, and fails on the first cell error among them
+///     in file order, with LoadCsv's message, "line N" included (N is
+///     counted on the error path only).
+/// A text LoadCsv accepts is therefore always accepted here, with the same
+/// bytes for every parsed row; a text it rejects for a cell no sample
+/// reads is accepted.
+///
+/// The index borrows `content`, which must outlive it (not the tables
+/// Parse returns, which own their rows).
+class CsvRecordIndex {
+ public:
+  static Result<CsvRecordIndex> Build(std::string_view content,
+                                      const Schema& schema,
+                                      bool has_header = true);
+
+  /// Data records in the text: the n of the full table.
+  uint64_t num_records() const { return offsets_.size(); }
+
+  /// Parses records `ids` (ascending, distinct, below num_records()) into
+  /// a table of num_records() rows that holds just those rows.
+  Result<std::unique_ptr<PartialTable>> Parse(
+      const std::vector<RowId>& ids) const;
+
+ private:
+  CsvRecordIndex(std::string_view content, const Schema& schema)
+      : content_(content), schema_(schema) {}
+
+  /// The "line N" of the record starting at `offset`: records from 1,
+  /// header and blank lines included.
+  uint64_t LineOf(uint64_t offset) const;
+
+  std::string_view content_;
+  Schema schema_;
+  /// Start offset of each data record, in file order.
+  std::vector<uint64_t> offsets_;
+};
 
 /// Reads a whole file into memory with one copy. NotFound if the file
 /// cannot be opened; InvalidArgument if reading fails (a directory, an I/O

@@ -89,7 +89,8 @@ class Table {
   /// Total bytes of the uncompressed fixed-width representation (n * k).
   uint64_t data_bytes() const { return num_rows() * row_width(); }
 
-  /// Zero-copy view of an encoded row. id must be < num_rows().
+  /// Zero-copy view of an encoded row. id must be < num_rows() and loaded
+  /// (CheckRowLoaded).
   virtual Slice row(RowId id) const {
     const uint32_t width = row_width();
     if (id < base_rows_) {
@@ -102,6 +103,16 @@ class Table {
     return Slice(segment + static_cast<size_t>(off % kAppendSegmentRows) *
                                width,
                  width);
+  }
+
+  /// OK if row `id` (< num_rows()) is held in memory. A table built
+  /// through TableBuilder holds every row; a PartialTable
+  /// (storage/partial_table.h) holds only the rows a sample reads and
+  /// refuses the rest. TableView::Make and MaterializeSample check every id
+  /// through here, so a sample never reads bytes that were not loaded.
+  virtual Status CheckRowLoaded(RowId id) const {
+    (void)id;
+    return Status::OK();
   }
 
   /// Zero-copy view of one cell of a row.

@@ -12,6 +12,7 @@ Result<std::unique_ptr<TableView>> TableView::Make(const Table& base,
                                 " >= base table size " +
                                 std::to_string(base.num_rows()));
     }
+    CFEST_RETURN_NOT_OK(base.CheckRowLoaded(id));
   }
   return std::unique_ptr<TableView>(new TableView(base, std::move(ids)));
 }

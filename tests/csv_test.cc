@@ -6,11 +6,18 @@
 // rows encoded through TableBuilder::Append) that LoadCsv replaced. A
 // seeded differential test feeds both thousands of random CSV texts and
 // requires the same verdict, the same Status and byte-identical rows.
+//
+// The sampled loader (CsvRecordIndex) is pinned against LoadCsv the same
+// way: on the same random texts and seeded draws it must report LoadCsv's
+// first structural error, else LoadCsv's first cell error among the
+// records it parses, else exactly LoadCsv's bytes for every parsed row.
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <map>
 #include <fstream>
 #include <random>
 #include <string>
@@ -20,7 +27,9 @@
 
 #include "common/metrics.h"
 #include "common/trace.h"
+#include "sampling/sampler.h"
 #include "storage/csv.h"
+#include "storage/table_view.h"
 
 namespace cfest {
 namespace {
@@ -656,6 +665,262 @@ TEST(CsvDifferentialTest, MatchesReferenceOnEdgeCases) {
       ExpectSameLoad("h\n" + text, schema, header);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Sampled ingest: CsvRecordIndex against LoadCsv
+// ---------------------------------------------------------------------------
+
+/// `schema` with every column a varchar(65535). LoadCsv under it checks
+/// the structure of every record (boundaries, quoting, field count) and no
+/// cell content, so its verdict is the text's first structural error.
+Schema StructureOnly(const Schema& schema) {
+  std::vector<Column> columns;
+  for (size_t c = 0; c < schema.num_columns(); ++c) {
+    columns.push_back(Column{schema.column(c).name, VarcharType(0xFFFF)});
+  }
+  return std::move(Schema::Make(std::move(columns))).ValueOrDie();
+}
+
+/// `text` (structurally valid) with every data record whose id is not in
+/// `keep` (ascending) replaced by a one-line record of valid cells, line
+/// ending kept. Record numbering is unchanged, so a full LoadCsv of the
+/// result fails exactly on the first cell error among the kept records.
+std::string MaskUnparsedRecords(const std::string& text, const Schema& schema,
+                                bool header, const std::vector<RowId>& keep) {
+  std::string valid;
+  for (size_t c = 0; c < schema.num_columns(); ++c) {
+    if (c > 0) valid += ",";
+    valid += schema.column(c).type.IsString() ? "\"\"" : "0";
+  }
+  std::string out;
+  size_t pos = 0;
+  uint64_t line = 0;
+  RowId id = 0;
+  std::vector<std::string> fields;
+  bool any_content = false;
+  Status error;
+  while (true) {
+    const size_t start = pos;
+    if (!reference::NextRecord(text, &pos, &fields, &any_content, &error)) {
+      break;
+    }
+    const std::string raw = text.substr(start, pos - start);
+    ++line;
+    if ((line == 1 && header) || !any_content ||
+        std::binary_search(keep.begin(), keep.end(), id++)) {
+      out += raw;
+      continue;
+    }
+    size_t body = raw.size();
+    if (raw.ends_with("\r\n")) {
+      body -= 2;
+    } else if (raw.ends_with("\n") || raw.ends_with("\r")) {
+      body -= 1;
+    }
+    out += valid + raw.substr(body);
+  }
+  return out;
+}
+
+/// How a sampled load of one text ended.
+enum class SampledOutcome { kStructureError, kCellError, kLoaded };
+
+/// Indexes `text`, parses the distinct ids of a seeded with-replacement
+/// draw, and checks verdict, message and row bytes against LoadCsv.
+void ExpectSampledLoadMatches(const std::string& text, const Schema& schema,
+                              bool header, uint64_t seed,
+                              SampledOutcome* outcome = nullptr) {
+  SampledOutcome ignored;
+  if (outcome == nullptr) outcome = &ignored;
+  Result<CsvRecordIndex> index = CsvRecordIndex::Build(text, schema, header);
+  auto structure = LoadCsv(text, StructureOnly(schema), header);
+  ASSERT_EQ(index.ok(), structure.ok())
+      << "text: " << ::testing::PrintToString(text)
+      << "\nstructure: " << structure.status()
+      << "\nindex: " << index.status();
+  if (!structure.ok()) {
+    *outcome = SampledOutcome::kStructureError;
+    EXPECT_EQ(index.status().code(), structure.status().code());
+    EXPECT_EQ(index.status().message(), structure.status().message())
+        << "text: " << ::testing::PrintToString(text);
+    return;
+  }
+  const uint64_t n = (*structure)->num_rows();
+  ASSERT_EQ(index->num_records(), n)
+      << "text: " << ::testing::PrintToString(text);
+
+  const uint64_t draws = n == 0 ? 0 : seed % (2 * n + 1);
+  const std::vector<RowId> ids = DistinctDrawnIds(seed, n, draws);
+  auto expected = LoadCsv(MaskUnparsedRecords(text, schema, header, ids),
+                          schema, header);
+  auto actual = index->Parse(ids);
+  ASSERT_EQ(actual.ok(), expected.ok())
+      << "text: " << ::testing::PrintToString(text) << "\nexpected: "
+      << expected.status() << "\nactual: " << actual.status();
+  if (!expected.ok()) {
+    *outcome = SampledOutcome::kCellError;
+    EXPECT_EQ(actual.status().code(), expected.status().code());
+    EXPECT_EQ(actual.status().message(), expected.status().message())
+        << "text: " << ::testing::PrintToString(text);
+    return;
+  }
+  *outcome = SampledOutcome::kLoaded;
+  const PartialTable& got = **actual;
+  ASSERT_EQ(got.num_rows(), n);
+  ASSERT_EQ(got.loaded_rows(), ids.size());
+  auto full = LoadCsv(text, schema, header);
+  for (RowId id : ids) {
+    ASSERT_EQ(got.row(id).ToString(), (*expected)->row(id).ToString())
+        << "row " << id << " of " << ::testing::PrintToString(text);
+    if (full.ok()) {
+      ASSERT_EQ(got.row(id).ToString(), (*full)->row(id).ToString());
+    }
+  }
+  for (RowId id = 0; id < n; ++id) {
+    if (std::binary_search(ids.begin(), ids.end(), id)) continue;
+    EXPECT_FALSE(TableView::Make(got, {id}).ok()) << "row " << id;
+  }
+}
+
+/// The text with no quote and no carriage return (quotes become letters,
+/// \r becomes \n), so the index takes its memchr path.
+std::string WithoutQuotesOrCarriageReturns(std::string text) {
+  for (char& c : text) {
+    if (c == '"') c = 'q';
+    if (c == '\r') c = '\n';
+  }
+  return text;
+}
+
+TEST(CsvSampledLoadTest, MatchesLoadCsvOnRandomTextsAndDraws) {
+  CsvTextGenerator generator(977);
+  std::mt19937_64 seeds(5);
+  constexpr int kTexts = 3000;
+  std::map<SampledOutcome, int> outcomes;
+  for (int i = 0; i < kTexts; ++i) {
+    const Schema schema = generator.RandomSchema();
+    const bool header = i % 3 != 0;
+    const double noise = i % 4 == 0 ? 0.0 : 0.05 * (i % 4);
+    const std::string text = generator.RandomText(schema, header, noise);
+    for (const std::string& variant :
+         {text, WithoutQuotesOrCarriageReturns(text)}) {
+      SampledOutcome outcome;
+      ExpectSampledLoadMatches(variant, schema, header, seeds(), &outcome);
+      if (::testing::Test::HasFatalFailure()) return;
+      ++outcomes[outcome];
+    }
+  }
+  // Every verdict must be well represented, or the comparison is one-sided.
+  for (SampledOutcome outcome :
+       {SampledOutcome::kStructureError, SampledOutcome::kCellError,
+        SampledOutcome::kLoaded}) {
+    EXPECT_GT(outcomes[outcome], kTexts / 10) << static_cast<int>(outcome);
+  }
+}
+
+TEST(CsvSampledLoadTest, MatchesLoadCsvOnEdgeCases) {
+  Schema schema = std::move(ParseSchemaSpec("a:int32,b:char(3)")).ValueOrDie();
+  const std::vector<std::string> texts = {
+      "",           "\n",           "\r\n\r\n",
+      "1,x\n\n2,y",   "1,x\r2,y\r",    "1,\"\"\n2,y",
+      "1,\"a\nb\"\n2,y", "1,\"\r\n\"\r\n", "x,y\n2,y",
+      "1,abcd\n2,y",  "1,x\n2,y,z",    "1,x\n\"",
+      "1,x\n2,a\"",   "\"\"\n1,x",     "1,x\n\n",
+      "\n\n1,x\n",    "1,x\n2147483648,y\n3,z",
+      "1,x\n+,y\n\n3,z\n"};
+  for (const std::string& text : texts) {
+    for (bool header : {false, true}) {
+      for (uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u}) {
+        ExpectSampledLoadMatches(text, schema, header, seed);
+        ExpectSampledLoadMatches("h\n" + text, schema, header, seed);
+      }
+    }
+  }
+}
+
+TEST(CsvSampledLoadTest, StructureIsCheckedEverywhereCellsOnlyWhereParsed) {
+  Schema schema =
+      std::move(ParseSchemaSpec("id:int64,city:char(6)")).ValueOrDie();
+  // Record 1 (line 3) has a bad integer; record 3 (line 5) is ragged. A
+  // full load stops at the cell error, the index at the structural one.
+  const std::string ragged = "id,city\n1,a\nx,b\n3,c\n4,d,extra\n";
+  EXPECT_EQ(LoadCsv(ragged, schema).status().message(),
+            "line 3: not an integer: 'x'");
+  Result<CsvRecordIndex> index = CsvRecordIndex::Build(ragged, schema);
+  ASSERT_FALSE(index.ok());
+  EXPECT_EQ(index.status().message(), "line 5: 3 fields, schema has 2");
+
+  const std::string bad_cell = "id,city\n1,a\nx,b\n\n3,\"c\nd\"\n4,toolong\n";
+  Result<CsvRecordIndex> cells = CsvRecordIndex::Build(bad_cell, schema);
+  ASSERT_TRUE(cells.ok()) << cells.status();
+  ASSERT_EQ(cells->num_records(), 4u);
+  // The bad cells are in records 1 and 3; a sample that skips them loads.
+  auto skipped = cells->Parse({0, 2});
+  ASSERT_TRUE(skipped.ok()) << skipped.status();
+  EXPECT_EQ((*skipped)->num_rows(), 4u);
+  EXPECT_EQ((*skipped)->loaded_rows(), 2u);
+  EXPECT_EQ((*(*skipped)->DecodeRow(2))[1].ToString(), "c\nd");
+  // The first cell error among parsed records wins, named as LoadCsv
+  // names it, its line counted past the blank line and the quoted break.
+  auto parsed = cells->Parse({0, 1, 3});
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().message(),
+            LoadCsv(bad_cell, schema).status().message());
+  auto last = cells->Parse({2, 3});
+  ASSERT_FALSE(last.ok());
+  EXPECT_TRUE(last.status().IsOutOfRange()) << last.status();
+  EXPECT_EQ(last.status().message(), "line 6: value 'toolong' exceeds char(6)");
+
+  // Ids must be ascending, distinct and in range.
+  EXPECT_FALSE(cells->Parse({2, 1}).ok());
+  EXPECT_FALSE(cells->Parse({1, 1}).ok());
+  EXPECT_FALSE(cells->Parse({4}).ok());
+}
+
+TEST(CsvSampledLoadTest, UnloadedRowsAreRefusedNotRead) {
+  Schema schema = std::move(ParseSchemaSpec("id:int64")).ValueOrDie();
+  auto index = CsvRecordIndex::Build("id\n10\n11\n12\n13\n", schema);
+  ASSERT_TRUE(index.ok());
+  auto table = index->Parse({1, 3});
+  ASSERT_TRUE(table.ok());
+  EXPECT_TRUE(TableView::Make(**table, {3, 1, 3}).ok());
+  auto view = TableView::Make(**table, {1, 2});
+  ASSERT_FALSE(view.ok());
+  EXPECT_TRUE(view.status().IsOutOfRange()) << view.status();
+  EXPECT_FALSE(TableView::Make(**table, {4}).ok());
+  EXPECT_FALSE(MaterializeSample(**table, {0}).ok());
+  EXPECT_FALSE((*table)->AppendEncodedRow(Slice((*table)->row(1))).ok());
+}
+
+TEST(CsvSampledLoadTest, CountsBytesScannedAndOnlyTheRowsParsed) {
+  Schema schema =
+      std::move(ParseSchemaSpec("id:int64,city:char(6)")).ValueOrDie();
+  metrics::MetricRegistry& registry = metrics::MetricRegistry::Global();
+  const std::string csv = "id,city\n1,berlin\n\n2,\"a,b\"\n3,paris\n4,rome";
+  const metrics::MetricsSnapshot before = registry.Snapshot();
+  trace::Reset();
+  trace::SetEnabled(true);
+  auto index = CsvRecordIndex::Build(csv, schema);
+  ASSERT_TRUE(index.ok()) << index.status();
+  auto table = index->Parse(DistinctDrawnIds(3, index->num_records(), 2));
+  trace::SetEnabled(false);
+  ASSERT_TRUE(table.ok()) << table.status();
+  const metrics::MetricsSnapshot after = registry.Snapshot();
+  EXPECT_EQ(after.CounterValue("cfest.ingest.rows_parsed") -
+                before.CounterValue("cfest.ingest.rows_parsed"),
+            (*table)->loaded_rows());
+  EXPECT_EQ(after.CounterValue("cfest.ingest.bytes_scanned") -
+                before.CounterValue("cfest.ingest.bytes_scanned"),
+            csv.size());
+  size_t index_spans = 0, parse_spans = 0;
+  for (const trace::SpanRecord& record : trace::CollectRecords()) {
+    index_spans += std::string(record.name) == "ingest.index_records";
+    parse_spans += std::string(record.name) == "ingest.parse_rows";
+  }
+  EXPECT_EQ(index_spans, 1u);
+  EXPECT_EQ(parse_spans, 1u);
+  trace::Reset();
 }
 
 }  // namespace

@@ -2,10 +2,12 @@
 // cross-table batching (bit-identical to per-table engines), the
 // reservoir-maintained engine sample with NotifyAppend delta refresh
 // (equal to a fresh draw over the grown table), invalidation granularity
-// (cache-stats assertions), and the storage-layer append plumbing it all
-// rides on.
+// (cache-stats assertions), the storage-layer append plumbing it all
+// rides on, and sampled ingest: every estimate surface over tables that
+// hold only their drawn rows equals the same surface over full loads.
 
 #include <atomic>
+#include <cmath>
 #include <map>
 #include <memory>
 #include <string>
@@ -21,7 +23,9 @@
 #include "estimator/adaptive.h"
 #include "estimator/engine.h"
 #include "estimator/service.h"
+#include "sampling/sampler.h"
 #include "storage/catalog.h"
+#include "storage/csv.h"
 #include "storage/table_view.h"
 
 namespace cfest {
@@ -664,6 +668,229 @@ TEST(ConcurrentServiceTest, EstimatesStayEpochConsistentUnderAppendsAndGrowth) {
   EXPECT_GT(stats.lock_free_pins, 0u);
   EXPECT_EQ(stats.coalesce_requests,
             stats.coalesce_admitted + stats.coalesce_merged);
+}
+
+// ---------------------------------------------------------------------------
+// Sampled ingest: tables that hold only the rows their samples draw
+// ---------------------------------------------------------------------------
+
+/// Each table of `source` written to CSV and loaded back in full.
+std::unique_ptr<Catalog> FullLoads(const Catalog& source) {
+  auto catalog = std::make_unique<Catalog>();
+  for (const std::string& name : source.TableNames()) {
+    const Table& table = **source.GetTable(name);
+    auto loaded = LoadCsv(WriteCsv(table), table.schema());
+    EXPECT_TRUE(loaded.ok()) << loaded.status();
+    EXPECT_TRUE(catalog->AddTable(name, std::move(loaded).ValueOrDie()).ok());
+  }
+  return catalog;
+}
+
+/// Adds each table of `source`, written to CSV, to `sampled` with only the
+/// rows `service`'s engine for it can read: MaxRowsDrawn ids of the
+/// SeedForTable stream. Returns the rows parsed.
+uint64_t AddSampledLoads(const Catalog& source,
+                         const CatalogEstimationService& service,
+                         const PrecisionTarget* growth, Catalog* sampled) {
+  uint64_t parsed = 0;
+  for (const std::string& name : source.TableNames()) {
+    const Table& table = **source.GetTable(name);
+    const std::string csv = WriteCsv(table);
+    auto index = CsvRecordIndex::Build(csv, table.schema());
+    EXPECT_TRUE(index.ok()) << index.status();
+    const uint64_t n = index->num_records();
+    auto loaded = index->Parse(DistinctDrawnIds(
+        service.SeedForTable(name), n,
+        MaxRowsDrawn(service.options().base.fraction, growth, n)));
+    EXPECT_TRUE(loaded.ok()) << loaded.status();
+    parsed += (*loaded)->loaded_rows();
+    EXPECT_TRUE(sampled->AddTable(name, std::move(loaded).ValueOrDie()).ok());
+  }
+  return parsed;
+}
+
+void ExpectSameSized(const SizedCandidate& want, const SizedCandidate& got) {
+  EXPECT_EQ(want.config.index.name, got.config.index.name);
+  EXPECT_EQ(want.estimated_cf, got.estimated_cf) << got.config.index.name;
+  EXPECT_EQ(want.estimated_bytes, got.estimated_bytes);
+  EXPECT_EQ(want.uncompressed_bytes, got.uncompressed_bytes);
+  EXPECT_EQ(want.sample_rows, got.sample_rows);
+}
+
+TEST(SampledIngestTest, EveryEstimateSurfaceEqualsTheFullLoad) {
+  auto source = TwoTableCatalog();
+  auto full = FullLoads(*source);
+  const std::vector<CandidateConfiguration> candidates = MixedCandidates();
+  PrecisionTarget target;
+  target.rel_error = 0.03;
+  metrics::MetricRegistry& registry = metrics::MetricRegistry::Global();
+  bool grew = false, refined = false;
+  for (uint64_t seed : {3u, 42u}) {
+    for (double fraction : {0.01, 0.05, 0.2}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", f " +
+                   std::to_string(fraction));
+      CatalogEstimationServiceOptions options;
+      options.base.fraction = fraction;
+      options.seed = seed;
+      options.table_seeds["lineitem"] = seed * 7 + 1;
+      options.num_threads = 2;
+
+      // Fixed fraction: the batch and the replicate intervals.
+      CatalogEstimationService want(*full, options);
+      Catalog fixed_catalog;
+      CatalogEstimationService fixed(fixed_catalog, options);
+      const uint64_t rows_before =
+          registry.Snapshot().CounterValue("cfest.ingest.rows_parsed");
+      const uint64_t parsed =
+          AddSampledLoads(*source, fixed, nullptr, &fixed_catalog);
+      EXPECT_EQ(registry.Snapshot().CounterValue("cfest.ingest.rows_parsed") -
+                    rows_before,
+                parsed);
+      EXPECT_LT(parsed, 12000u + 15000u);
+      auto want_sized = want.EstimateAll(candidates);
+      auto got_sized = fixed.EstimateAll(candidates);
+      ASSERT_TRUE(want_sized.ok()) << want_sized.status();
+      ASSERT_TRUE(got_sized.ok()) << got_sized.status();
+      for (size_t i = 0; i < candidates.size(); ++i) {
+        ExpectSameSized((*want_sized)[i], (*got_sized)[i]);
+      }
+      for (const char* name : {"orders", "lineitem"}) {
+        std::vector<CandidateConfiguration> mine;
+        for (const CandidateConfiguration& c : candidates) {
+          if (c.table_name == name) mine.push_back(c);
+        }
+        auto want_intervals = EstimateCandidateIntervals(
+            **want.Engine(name), mine, 1.96, 8, want.shared_pool());
+        auto got_intervals = EstimateCandidateIntervals(
+            **fixed.Engine(name), mine, 1.96, 8, fixed.shared_pool());
+        ASSERT_TRUE(want_intervals.ok()) << want_intervals.status();
+        ASSERT_TRUE(got_intervals.ok()) << got_intervals.status();
+        for (size_t i = 0; i < mine.size(); ++i) {
+          EXPECT_EQ((*want_intervals)[i].cf, (*got_intervals)[i].cf);
+          EXPECT_EQ((*want_intervals)[i].interval.lower,
+                    (*got_intervals)[i].interval.lower);
+          EXPECT_EQ((*want_intervals)[i].interval.upper,
+                    (*got_intervals)[i].interval.upper);
+          EXPECT_EQ((*want_intervals)[i].method, (*got_intervals)[i].method);
+        }
+      }
+
+      // Adaptive growth, loaded up to the target's row cap.
+      CatalogEstimationService want_adaptive(*full, options);
+      Catalog adaptive_catalog;
+      CatalogEstimationService adaptive(adaptive_catalog, options);
+      AddSampledLoads(*source, adaptive, &target, &adaptive_catalog);
+      auto want_batch = EstimateAllAdaptive(want_adaptive, candidates, target);
+      auto got_batch = EstimateAllAdaptive(adaptive, candidates, target);
+      ASSERT_TRUE(want_batch.ok()) << want_batch.status();
+      ASSERT_TRUE(got_batch.ok()) << got_batch.status();
+      for (size_t i = 0; i < candidates.size(); ++i) {
+        const AdaptiveCandidateResult& w = want_batch->candidates[i];
+        const AdaptiveCandidateResult& g = got_batch->candidates[i];
+        ExpectSameSized(w.sized, g.sized);
+        EXPECT_EQ(w.cf, g.cf);
+        EXPECT_EQ(w.interval.lower, g.interval.lower);
+        EXPECT_EQ(w.interval.upper, g.interval.upper);
+        EXPECT_EQ(w.rows_sampled, g.rows_sampled);
+        EXPECT_EQ(w.converged, g.converged);
+        EXPECT_EQ(w.interval_method, g.interval_method);
+      }
+      grew |= want_batch->rounds > 1;
+      ASSERT_EQ(want_batch->tables.size(), got_batch->tables.size());
+      for (size_t t = 0; t < want_batch->tables.size(); ++t) {
+        EXPECT_EQ(want_batch->tables[t].rows_per_round,
+                  got_batch->tables[t].rows_per_round);
+      }
+
+      // Lazy search under a bound that forces choices.
+      uint64_t best_total = 0;
+      for (const SizedCandidate& s : *want_sized) {
+        best_total += s.estimated_bytes;
+      }
+      const uint64_t bound = best_total / 4;
+      CatalogEstimationService want_lazy(*full, options);
+      Catalog lazy_catalog;
+      CatalogEstimationService lazy(lazy_catalog, options);
+      AddSampledLoads(*source, lazy, &target, &lazy_catalog);
+      LazyAdvisorStats want_stats, got_stats;
+      auto want_rec = AdviseConfigurationsLazy(want_lazy, candidates, bound,
+                                               target, &want_stats);
+      auto got_rec =
+          AdviseConfigurationsLazy(lazy, candidates, bound, target, &got_stats);
+      ASSERT_TRUE(want_rec.ok()) << want_rec.status();
+      ASSERT_TRUE(got_rec.ok()) << got_rec.status();
+      ASSERT_EQ(want_rec->selected.size(), got_rec->selected.size());
+      for (size_t i = 0; i < want_rec->selected.size(); ++i) {
+        ExpectSameSized(want_rec->selected[i], got_rec->selected[i]);
+      }
+      EXPECT_EQ(want_rec->total_bytes, got_rec->total_bytes);
+      EXPECT_EQ(want_rec->total_benefit, got_rec->total_benefit);
+      EXPECT_EQ(want_stats.refined, got_stats.refined);
+      EXPECT_EQ(want_stats.refine_rounds, got_stats.refine_rounds);
+      EXPECT_EQ(want_stats.total_rows_sized, got_stats.total_rows_sized);
+      EXPECT_EQ(want_stats.nodes_visited, got_stats.nodes_visited);
+      refined |= want_stats.refined > 0;
+    }
+  }
+  // The runs grew samples and refined candidates, so the loaded caps were
+  // exercised rather than just the initial draws.
+  EXPECT_TRUE(grew);
+  EXPECT_TRUE(refined);
+}
+
+TEST(SampledIngestTest, GrowthPastTheLoadedRowsFailsCleanly) {
+  auto source = TwoTableCatalog();
+  auto full = FullLoads(*source);
+  CatalogEstimationServiceOptions options;
+  options.base.fraction = 0.02;
+  options.num_threads = 1;
+  // Loaded for growth up to 10% of each table.
+  PrecisionTarget cap;
+  cap.max_fraction = 0.1;
+  Catalog sampled;
+  CatalogEstimationService service(sampled, options);
+  AddSampledLoads(*source, service, &cap, &sampled);
+  CatalogEstimationService reference(*full, options);
+
+  auto engine = service.Engine("orders");
+  ASSERT_TRUE(engine.ok());
+  ASSERT_TRUE((*engine)->PinEpoch().ok());
+  const uint64_t rows = (*engine)->sample_rows();
+  EXPECT_EQ(rows, 240u);  // round(0.02 * 12000)
+  const uint64_t loaded_cap = RowCapForTarget(cap, 12000);
+
+  // Past the cap the draw reaches rows that were never parsed: an error,
+  // and the published sample stays as it was.
+  auto past = (*engine)->GrowSampleToEpoch(2 * loaded_cap);
+  ASSERT_FALSE(past.ok());
+  EXPECT_TRUE(past.status().IsOutOfRange()) << past.status();
+  EXPECT_EQ((*engine)->sample_rows(), rows);
+
+  // Within the cap, growth still equals the full load's: the refused
+  // growth did not consume the draw stream.
+  auto within = (*engine)->GrowSampleToEpoch(loaded_cap);
+  ASSERT_TRUE(within.ok()) << within.status();
+  auto reference_engine = reference.Engine("orders");
+  ASSERT_TRUE(reference_engine.ok());
+  auto want = (*reference_engine)->GrowSampleToEpoch(loaded_cap);
+  ASSERT_TRUE(want.ok());
+  EXPECT_EQ((*within)->sample().row_ids(), (*want)->sample().row_ids());
+
+  // An adaptive run that wants more than was loaded fails the batch
+  // instead of estimating from rows that are not there.
+  PrecisionTarget wide;
+  wide.rel_error = 0.001;
+  EXPECT_FALSE(EstimateAllAdaptive(service, MixedCandidates(), wide).ok());
+
+  // So does a draw from another seed.
+  EstimationEngineOptions stranger_options;
+  stranger_options.base.fraction = 0.02;
+  stranger_options.seed = options.seed + 1;
+  EstimationEngine stranger(**sampled.GetTable("lineitem"), stranger_options);
+  auto stranger_epoch = stranger.PinEpoch();
+  ASSERT_FALSE(stranger_epoch.ok());
+  EXPECT_TRUE(stranger_epoch.status().IsOutOfRange())
+      << stranger_epoch.status();
 }
 
 }  // namespace

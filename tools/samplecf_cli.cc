@@ -57,6 +57,12 @@
 // command finishes, so an external scraper (a CI step, a curl) can read
 // the final counters from a live process.
 //
+// Ingest: estimate, batch and advise parse only the CSV records their
+// sample draws (storage/csv.h, CsvRecordIndex): every record's structure
+// (quoting, field count) is checked, but cell contents only in the records
+// parsed. exact, recommend and analyze parse every row. In short: exact
+// validates every cell; sample-based commands validate what they read.
+//
 // Scheme names: none, null_suppression, dictionary_page, dictionary_global,
 // rle, prefix, delta, prefix_dictionary.
 //
@@ -95,6 +101,7 @@
 #include "estimator/sample_cf.h"
 #include "estimator/scheme_advisor.h"
 #include "estimator/service.h"
+#include "sampling/sampler.h"
 #include "server/telemetry_http.h"
 #include "storage/csv.h"
 
@@ -130,6 +137,21 @@ Result<std::unique_ptr<Table>> LoadTable(const std::string& csv_path,
   CFEST_ASSIGN_OR_RETURN(Schema schema, ParseSchemaSpec(schema_spec));
   CFEST_ASSIGN_OR_RETURN(std::string content, ReadFileContents(csv_path));
   return LoadCsv(content, schema, /*has_header=*/true);
+}
+
+/// Loads only the rows a sample seeded by `seed` reads (MaxRowsDrawn): the
+/// table has the file's row count, and every estimate on it equals the
+/// estimate on a full load.
+Result<std::unique_ptr<PartialTable>> LoadSampledTable(
+    const std::string& csv_path, const std::string& schema_spec,
+    uint64_t seed, double fraction, const PrecisionTarget* growth) {
+  CFEST_ASSIGN_OR_RETURN(Schema schema, ParseSchemaSpec(schema_spec));
+  CFEST_ASSIGN_OR_RETURN(std::string content, ReadFileContents(csv_path));
+  CFEST_ASSIGN_OR_RETURN(CsvRecordIndex records,
+                         CsvRecordIndex::Build(content, schema));
+  const uint64_t n = records.num_records();
+  return records.Parse(
+      DistinctDrawnIds(seed, n, MaxRowsDrawn(fraction, growth, n)));
 }
 
 /// Strips "--flag <value>" from `args`; returns the value or `fallback`.
@@ -305,10 +327,6 @@ int CmdEstimate(const std::vector<std::string>& args) {
         "usage: estimate <csv> <schema-spec> <key-cols> <scheme> "
         "[fraction] [seed]");
   }
-  auto table = LoadTable(args[0], args[1]);
-  if (!table.ok()) return Fail(table.status().ToString());
-  auto scheme_type = CompressionTypeFromName(args[3]);
-  if (!scheme_type.ok()) return Fail(scheme_type.status().ToString());
   SampleCFOptions options;
   options.fraction = 0.01;
   uint64_t seed = 42;
@@ -322,6 +340,11 @@ int CmdEstimate(const std::vector<std::string>& args) {
     if (!parsed.ok()) return Fail(parsed.status().ToString());
     seed = *parsed;
   }
+  auto table =
+      LoadSampledTable(args[0], args[1], seed, options.fraction, nullptr);
+  if (!table.ok()) return Fail(table.status().ToString());
+  auto scheme_type = CompressionTypeFromName(args[3]);
+  if (!scheme_type.ok()) return Fail(scheme_type.status().ToString());
   Random rng(seed);
   IndexDescriptor index{"ix", SplitCommas(args[2]), /*clustered=*/false};
   auto result =
@@ -440,8 +463,6 @@ int CmdBatch(std::vector<std::string> args) {
         "[--threads N] [--target-rel-error E] [--confidence C] [--json] "
         "[fraction] [seed]");
   }
-  auto table = LoadTable(args[0], args[1]);
-  if (!table.ok()) return Fail(table.status().ToString());
   auto spec = ReadFileContents(args[3]);
   if (!spec.ok()) return Fail(spec.status().ToString());
 
@@ -475,6 +496,10 @@ int CmdBatch(std::vector<std::string> args) {
   auto num_threads = ParseThreadsArg(*threads);
   if (!num_threads.ok()) return Fail(num_threads.status().ToString());
   options.num_threads = *num_threads;
+  auto table = LoadSampledTable(
+      args[0], args[1], options.seed, options.base.fraction,
+      precision->adaptive ? &precision->target : nullptr);
+  if (!table.ok()) return Fail(table.status().ToString());
   EstimationEngine engine(**table, options);
 
   if (precision->adaptive) {
@@ -669,34 +694,6 @@ int CmdAdvise(std::vector<std::string> args) {
   }
   if (candidates.empty()) return Fail("no candidates in " + *candidates_path);
 
-  // Each <name>.schema + <name>.csv pair in the directory (the layout
-  // gen-tpch writes) whose table some candidate names becomes a catalog
-  // table. A candidate naming a table with no schema file fails in the
-  // service's GroupByTable, like any other unknown table.
-  Catalog catalog;
-  std::error_code ec;
-  std::vector<std::string> stems;
-  for (const auto& entry :
-       std::filesystem::directory_iterator(*catalog_dir, ec)) {
-    if (entry.path().extension() == ".schema") {
-      stems.push_back(entry.path().stem().string());
-    }
-  }
-  if (ec) return Fail("cannot list " + *catalog_dir + ": " + ec.message());
-  if (stems.empty()) return Fail("no .schema files in " + *catalog_dir);
-  std::sort(stems.begin(), stems.end());
-  for (const std::string& stem : stems) {
-    if (referenced.count(stem) == 0) continue;
-    auto schema_spec = ReadFileContents(*catalog_dir + "/" + stem + ".schema");
-    if (!schema_spec.ok()) return Fail(schema_spec.status().ToString());
-    auto table = LoadTable(*catalog_dir + "/" + stem + ".csv", *schema_spec);
-    if (!table.ok()) return Fail(table.status().ToString());
-    std::printf("loaded %-12s %8llu rows\n", stem.c_str(),
-                static_cast<unsigned long long>((*table)->num_rows()));
-    Status st = catalog.AddTable(stem, std::move(*table));
-    if (!st.ok()) return Fail(st.ToString());
-  }
-
   CatalogEstimationServiceOptions options;
   options.base.fraction = 0.01;
   options.seed = 42;
@@ -713,7 +710,43 @@ int CmdAdvise(std::vector<std::string> args) {
   auto num_threads = ParseThreadsArg(*threads);
   if (!num_threads.ok()) return Fail(num_threads.status().ToString());
   options.num_threads = *num_threads;
+  // The service only borrows the catalog, and creates each table's engine
+  // on first use, so the tables can be added after it: each is loaded with
+  // just the rows its engine's seed will draw.
+  Catalog catalog;
   CatalogEstimationService service(catalog, options);
+
+  // Each <name>.schema + <name>.csv pair in the directory (the layout
+  // gen-tpch writes) whose table some candidate names becomes a catalog
+  // table. A candidate naming a table with no schema file fails in the
+  // service's GroupByTable, like any other unknown table.
+  std::error_code ec;
+  std::vector<std::string> stems;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(*catalog_dir, ec)) {
+    if (entry.path().extension() == ".schema") {
+      stems.push_back(entry.path().stem().string());
+    }
+  }
+  if (ec) return Fail("cannot list " + *catalog_dir + ": " + ec.message());
+  if (stems.empty()) return Fail("no .schema files in " + *catalog_dir);
+  std::sort(stems.begin(), stems.end());
+  const PrecisionTarget* growth =
+      lazy || precision->adaptive ? &precision->target : nullptr;
+  for (const std::string& stem : stems) {
+    if (referenced.count(stem) == 0) continue;
+    auto schema_spec = ReadFileContents(*catalog_dir + "/" + stem + ".schema");
+    if (!schema_spec.ok()) return Fail(schema_spec.status().ToString());
+    auto table = LoadSampledTable(*catalog_dir + "/" + stem + ".csv",
+                                  *schema_spec, service.SeedForTable(stem),
+                                  options.base.fraction, growth);
+    if (!table.ok()) return Fail(table.status().ToString());
+    std::printf("loaded %-12s %8llu of %8llu rows\n", stem.c_str(),
+                static_cast<unsigned long long>((*table)->loaded_rows()),
+                static_cast<unsigned long long>((*table)->num_rows()));
+    Status st = catalog.AddTable(stem, std::move(*table));
+    if (!st.ok()) return Fail(st.ToString());
+  }
 
   if (lazy) {
     // Interval-driven branch-and-bound: candidates are sized only as
@@ -944,14 +977,21 @@ int RunCommand(const std::string& command, std::vector<std::string> args) {
 }
 
 int Main(int argc, char** argv) {
-  if (argc < 2) {
-    std::fprintf(stderr,
+  const bool help = argc >= 2 && (std::string(argv[1]) == "--help" ||
+                                  std::string(argv[1]) == "-h");
+  if (argc < 2 || help) {
+    std::fprintf(help ? stdout : stderr,
                  "usage: %s "
                  "<estimate|exact|recommend|batch|advise|analyze|gen-tpch> "
                  "... [--metrics-out <file>] [--trace-out <file>] "
-                 "[--telemetry-port <port>] [--telemetry-hold-ms <ms>]\n",
+                 "[--telemetry-port <port>] [--telemetry-hold-ms <ms>]\n"
+                 "estimate, batch and advise parse only the CSV rows their "
+                 "sample draws; every row's quoting and field count is "
+                 "checked, cell contents only in the rows parsed.\n"
+                 "exact validates every cell; sample-based commands "
+                 "validate what they read.\n",
                  argv[0]);
-    return 1;
+    return help ? 0 : 1;
   }
   const std::string command = argv[1];
   std::vector<std::string> args(argv + 2, argv + argc);
