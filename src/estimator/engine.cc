@@ -83,10 +83,21 @@ std::shared_ptr<SampleEpoch> EstimationEngine::MakeEpochLocked(
       new SampleEpoch(std::move(view), version_, table_rows, counters_));
 }
 
-void EstimationEngine::PublishLocked(std::shared_ptr<SampleEpoch> epoch) {
+std::shared_ptr<const SampleEpoch> EstimationEngine::PublishLocked(
+    std::shared_ptr<SampleEpoch> epoch) {
   sample_ = epoch->sample_view();
-  epoch_.store(std::shared_ptr<const SampleEpoch>(std::move(epoch)),
-               std::memory_order_release);
+  std::shared_ptr<const SampleEpoch> previous = epoch;
+  {
+    MutexLock lock(epoch_mu_);
+    epoch_.swap(previous);
+  }
+  // An unpinned predecessor retires here, outside epoch_mu_.
+  return epoch;
+}
+
+std::shared_ptr<const SampleEpoch> EstimationEngine::CurrentEpoch() const {
+  MutexLock lock(epoch_mu_);
+  return epoch_;
 }
 
 Status EstimationEngine::DrawInitialLocked() {
@@ -139,23 +150,16 @@ Status EstimationEngine::DrawInitialLocked() {
 }
 
 Result<std::shared_ptr<const SampleEpoch>> EstimationEngine::PinEpoch() {
-  // Steady state: one atomic load, no mutex. The shared_ptr refcount is
-  // the pin — the epoch (sample view, index cache, sizing snapshot) stays
-  // valid however many successors are published while we hold it.
-  std::shared_ptr<const SampleEpoch> epoch =
-      epoch_.load(std::memory_order_acquire);
-  if (epoch != nullptr) {
-    counters_->lock_free_pins.Increment();
+  // Steady state: one pointer copy, never the writer mutex. The shared_ptr
+  // refcount is the pin — the epoch (sample view, index cache, sizing
+  // snapshot) stays valid however many successors are published while we
+  // hold it.
+  if (std::shared_ptr<const SampleEpoch> epoch = CurrentEpoch()) {
     return epoch;
   }
   MutexLock lock(mu_);
-  epoch = epoch_.load(std::memory_order_acquire);
-  if (epoch == nullptr) {
-    CFEST_RETURN_NOT_OK(DrawInitialLocked());
-    epoch = epoch_.load(std::memory_order_acquire);
-  }
-  counters_->locked_pins.Increment();
-  return epoch;
+  if (CurrentEpoch() == nullptr) CFEST_RETURN_NOT_OK(DrawInitialLocked());
+  return CurrentEpoch();
 }
 
 Status EstimationEngine::NotifyAppend(RowRange range) {
@@ -172,8 +176,7 @@ Status EstimationEngine::NotifyAppend(RowRange range) {
   }
   if (range.empty()) return Status::OK();
   // Not drawn yet: the eventual draw scans the whole (grown) table.
-  std::shared_ptr<const SampleEpoch> current =
-      epoch_.load(std::memory_order_acquire);
+  std::shared_ptr<const SampleEpoch> current = CurrentEpoch();
   if (current == nullptr) return Status::OK();
   if (range.begin != reservoir_core_->items_seen()) {
     return Status::InvalidArgument(
@@ -187,18 +190,12 @@ Status EstimationEngine::NotifyAppend(RowRange range) {
                                     range.begin, range.end, &reservoir_ids_);
   if (!changed) {
     // Every appended row was rejected: the sample is unchanged, so the
-    // successor epoch keeps the version AND the predecessor's whole index
-    // and replicate caches (same snapshot maps — in-flight builds
-    // included) and only the table-size snapshot advances. In-flight
-    // readers are untouched.
+    // successor epoch keeps the version AND the predecessor's index and
+    // replicate caches (in-flight builds included) and only the table-size
+    // snapshot advances. In-flight readers are untouched.
     std::shared_ptr<SampleEpoch> next =
         MakeEpochLocked(sample_, reservoir_core_->items_seen());
-    next->indexes_.store(
-        current->indexes_.load(std::memory_order_acquire),
-        std::memory_order_relaxed);
-    next->replicates_.store(
-        current->replicates_.load(std::memory_order_acquire),
-        std::memory_order_relaxed);
+    next->CarryMemosFrom(*current);
     PublishLocked(std::move(next));
     return Status::OK();
   }
@@ -219,8 +216,7 @@ Status EstimationEngine::NotifyAppend(RowRange range) {
 }
 
 uint64_t EstimationEngine::sample_rows() const {
-  std::shared_ptr<const SampleEpoch> epoch =
-      epoch_.load(std::memory_order_acquire);
+  std::shared_ptr<const SampleEpoch> epoch = CurrentEpoch();
   return epoch == nullptr ? 0 : epoch->sample_rows();
 }
 
@@ -229,8 +225,7 @@ Result<std::shared_ptr<const SampleEpoch>> EstimationEngine::GrowSampleToEpoch(
   CFEST_RETURN_NOT_OK(PinEpoch().status());
   trace::Span span("engine.grow_sample");
   MutexLock lock(mu_);
-  std::shared_ptr<const SampleEpoch> current =
-      epoch_.load(std::memory_order_acquire);
+  std::shared_ptr<const SampleEpoch> current = CurrentEpoch();
   const uint64_t current_rows = sample_->num_rows();
   // Fraction is capped at 1.0, so the largest comparable fixed-f draw is
   // one id per consumed table row; clamp to the draw-stream snapshot
@@ -259,8 +254,7 @@ Result<std::shared_ptr<const SampleEpoch>> EstimationEngine::GrowSampleToEpoch(
         TableView::Make(table_, std::vector<RowId>(reservoir_ids_)));
     counters_->invalidations.Add(current->CachedIndexCount());
     ++version_;
-    PublishLocked(MakeEpochLocked(std::move(view), items_seen));
-    return epoch_.load(std::memory_order_acquire);
+    return PublishLocked(MakeEpochLocked(std::move(view), items_seen));
   }
 
   if (options_.rng != nullptr) {
@@ -310,8 +304,7 @@ Result<std::shared_ptr<const SampleEpoch>> EstimationEngine::GrowSampleToEpoch(
                              std::move(merged).ValueOrDie()));
     counters_->index_extensions.Increment();
   }
-  PublishLocked(std::move(next));
-  return epoch_.load(std::memory_order_acquire);
+  return PublishLocked(std::move(next));
 }
 
 Result<std::shared_ptr<const Index>> EstimationEngine::SampleIndexAt(
@@ -440,12 +433,9 @@ EstimationEngine::CacheStats EstimationEngine::cache_stats() const {
   stats.index_extensions = counters_->index_extensions.Value();
   stats.invalidations = counters_->invalidations.Value();
   stats.refreshes = counters_->refreshes.Value();
-  stats.lock_free_pins = counters_->lock_free_pins.Value();
-  stats.locked_pins = counters_->locked_pins.Value();
   stats.epochs_published = counters_->epochs_published.Value();
   stats.epochs_retired = counters_->epochs_retired.Value();
-  std::shared_ptr<const SampleEpoch> epoch =
-      epoch_.load(std::memory_order_acquire);
+  std::shared_ptr<const SampleEpoch> epoch = CurrentEpoch();
   stats.sample_version = epoch == nullptr ? 0 : epoch->version();
   return stats;
 }

@@ -21,14 +21,17 @@
 //
 // Concurrency is epoch-based (estimator/epoch.h). All read-path state — the
 // sample view, the table-size snapshot used for full-index scaling, the
-// sample version, the sorted-index cache — lives in an immutable refcounted
-// SampleEpoch published through one atomic shared_ptr. Estimates pin the
-// current epoch with a single atomic load and never take the engine mutex;
-// NotifyAppend and GrowSampleToEpoch build a successor epoch off to the side
-// under the writer mutex and publish it with one atomic swap. Refresh therefore
-// no longer requires quiescing in-flight estimates: a pinned epoch stays
+// sample version, the sorted-index cache — lives in a refcounted
+// SampleEpoch. The engine holds the current epoch as a shared_ptr under a
+// small mutex (epoch_mu_) that guards nothing else: estimates pin the epoch
+// by copying that pointer and never take the writer mutex. NotifyAppend and
+// GrowSampleToEpoch build a successor epoch off to the side under the
+// writer mutex and publish it by swapping the pointer under epoch_mu_.
+// Refresh therefore never quiesces in-flight estimates: a pinned epoch stays
 // fully valid (and its results bit-identical to a quiesced run at that
-// epoch) until the last reader drops it.
+// epoch) until the last reader drops it. (A plain mutex, not an atomic
+// shared_ptr: libstdc++ 12 implements that with a lock bit anyway, and
+// ThreadSanitizer cannot order its relaxed release.)
 //
 // For long-lived service use, the engine can maintain its sample as a
 // fixed-capacity reservoir (options.maintain_reservoir): the initial draw
@@ -43,7 +46,6 @@
 #ifndef CFEST_ESTIMATOR_ENGINE_H_
 #define CFEST_ESTIMATOR_ENGINE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -143,11 +145,11 @@ struct EstimationEngineOptions {
 
 /// \brief Batched, cached CF estimation over one table.
 ///
-/// Thread-safe: estimates pin the current SampleEpoch (one atomic load, no
-/// engine mutex) and may run concurrently with each other AND with
-/// NotifyAppend/GrowSampleToEpoch — writers publish successor epochs without
-/// quiescing readers. The engine holds a reference to the base table; the
-/// table must outlive it.
+/// Thread-safe: estimates pin the current SampleEpoch (a pointer copy under
+/// epoch_mu_, never the writer mutex) and may run concurrently with each
+/// other AND with NotifyAppend/GrowSampleToEpoch — writers publish
+/// successor epochs without quiescing readers. The engine holds a reference
+/// to the base table; the table must outlive it.
 class EstimationEngine {
  public:
   explicit EstimationEngine(const Table& table,
@@ -158,23 +160,20 @@ class EstimationEngine {
 
   // -------------------------------------------------------------------
   // Read path: every sampled estimate runs against an explicitly pinned
-  // epoch (steady state: one atomic load, no mutex). Callers pin once and
-  // pass the epoch to each *At call, so a multi-call sequence can never
-  // straddle a refresh.
+  // epoch (steady state: one pointer copy under epoch_mu_). Callers pin
+  // once and pass the epoch to each *At call, so a multi-call sequence can
+  // never straddle a refresh.
   // -------------------------------------------------------------------
 
   /// Pins the current epoch: a refcounted snapshot of the sample state
   /// that stays valid — and keeps producing bit-identical estimates — no
   /// matter how many refreshes are published afterwards. Draws the initial
   /// sample (under the writer mutex) if no epoch exists yet; every later
-  /// pin is the lock-free fast path (CacheStats.lock_free_pins counts
-  /// them, locked_pins counts first-draw fallthroughs).
-  Result<std::shared_ptr<const SampleEpoch>> PinEpoch();
+  /// pin only copies the published pointer.
+  Result<std::shared_ptr<const SampleEpoch>> PinEpoch() EXCLUDES(epoch_mu_);
 
   /// The current epoch without drawing: nullptr before the first sample.
-  std::shared_ptr<const SampleEpoch> CurrentEpoch() const {
-    return epoch_.load(std::memory_order_acquire);
-  }
+  std::shared_ptr<const SampleEpoch> CurrentEpoch() const EXCLUDES(epoch_mu_);
 
   /// The sorted sample index for `descriptor` at `epoch`, built at most
   /// once per distinct (key_columns, clustered) pair per epoch.
@@ -205,7 +204,7 @@ class EstimationEngine {
       const CandidateConfiguration& candidate) const;
 
   /// Rows in the current epoch's sample; 0 before the first draw.
-  uint64_t sample_rows() const;
+  uint64_t sample_rows() const EXCLUDES(epoch_mu_);
 
   /// What-if sizes a batch of candidates, fanning out across the pool.
   /// The whole batch runs against ONE pinned epoch, so results are
@@ -216,7 +215,8 @@ class EstimationEngine {
       std::span<const CandidateConfiguration> candidates);
 
   // -------------------------------------------------------------------
-  // Write path (serialized on the writer mutex; never blocks readers)
+  // Write path (serialized on the writer mutex; readers wait at most for
+  // a publish's pointer swap)
   // -------------------------------------------------------------------
 
   /// Grows the sample to at least `target_rows` rows (clamped to the
@@ -266,8 +266,8 @@ class EstimationEngine {
   /// Safe to run concurrently with estimates (epoch swap; no quiescing).
   Status NotifyAppend(RowRange range);
 
-  /// \brief Work-avoidance and concurrency counters (monotone over the
-  /// engine's life; all fields are sampled from shared atomics).
+  /// \brief Work-avoidance and epoch counters (monotone over the engine's
+  /// life; all fields are sampled from shared atomics).
   struct CacheStats {
     uint64_t samples_drawn = 0;
     uint64_t index_builds = 0;
@@ -284,13 +284,6 @@ class EstimationEngine {
     /// refresh or growth that actually changed the sample. Each epoch's
     /// cached indexes are always consistent with its version.
     uint64_t sample_version = 0;
-    /// Epoch pins served by the lock-free atomic load — the steady-state
-    /// estimate path. After the initial draw, estimates only ever add
-    /// here, never to locked_pins (the stress test and concurrency bench
-    /// assert exactly that).
-    uint64_t lock_free_pins = 0;
-    /// Epoch pins that fell through to the writer mutex (initial draw).
-    uint64_t locked_pins = 0;
     uint64_t epochs_published = 0;
     /// Epochs destroyed after their last reader unpinned them.
     uint64_t epochs_retired = 0;
@@ -313,11 +306,13 @@ class EstimationEngine {
   /// Draws the initial sample and publishes epoch 1. Caller holds mu_ and
   /// has checked that no epoch exists yet.
   Status DrawInitialLocked() REQUIRES(mu_);
-  /// Builds and publishes a successor epoch over `view`. Caller holds mu_.
+  /// Builds a successor epoch over `view`. Caller holds mu_.
   std::shared_ptr<SampleEpoch> MakeEpochLocked(
       std::shared_ptr<const TableView> view, uint64_t table_rows)
       REQUIRES(mu_);
-  void PublishLocked(std::shared_ptr<SampleEpoch> epoch) REQUIRES(mu_);
+  /// Makes `epoch` the current one and returns it. Caller holds mu_.
+  std::shared_ptr<const SampleEpoch> PublishLocked(
+      std::shared_ptr<SampleEpoch> epoch) REQUIRES(mu_) EXCLUDES(epoch_mu_);
   ThreadPool* Pool() EXCLUDES(pool_mu_);
 
   const Table& table_;
@@ -327,9 +322,11 @@ class EstimationEngine {
   /// while pinned).
   std::shared_ptr<EpochCounters> counters_;
 
-  /// The published epoch — the entire read path. Readers load it with one
-  /// atomic operation and never touch mu_.
-  std::atomic<std::shared_ptr<const SampleEpoch>> epoch_;
+  /// The published epoch — the entire read path. epoch_mu_ guards only
+  /// this pointer: readers copy it and never touch mu_; writers swap it
+  /// while holding mu_ (lock order: mu_, then epoch_mu_).
+  mutable Mutex epoch_mu_;
+  std::shared_ptr<const SampleEpoch> epoch_ GUARDED_BY(epoch_mu_);
 
   /// Writer mutex: serializes the initial draw, NotifyAppend, and
   /// GrowSampleToEpoch. Guards the draw-stream state below; never held

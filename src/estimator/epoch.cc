@@ -1,6 +1,7 @@
 #include "estimator/epoch.h"
 
 #include <chrono>
+#include <type_traits>
 
 #include "common/trace.h"
 #include "estimator/engine.h"
@@ -41,9 +42,7 @@ SampleEpoch::SampleEpoch(std::shared_ptr<const TableView> sample,
     : sample_(std::move(sample)),
       version_(version),
       table_rows_(table_rows),
-      counters_(std::move(counters)),
-      indexes_(std::make_shared<const IndexMap>()),
-      replicates_(std::make_shared<const ReplicateMap>()) {
+      counters_(std::move(counters)) {
   counters_->epochs_published.Increment();
 }
 
@@ -53,35 +52,23 @@ SampleEpoch::~SampleEpoch() {
 
 template <typename T, typename BuildFn>
 Result<std::shared_ptr<const T>> SampleEpoch::Memoized(
-    std::atomic<std::shared_ptr<const Memo<T>>>* memo, const std::string& key,
-    bool* hit, BuildFn build) const {
+    const std::string& key, bool* hit, BuildFn build) const {
+  std::promise<Built<T>> promise;
   std::shared_future<Built<T>> future;
   bool builder = false;
-  std::promise<Built<T>> promise;
-
-  // Lock-free hit path: one acquire load of the immutable snapshot map.
-  std::shared_ptr<const Memo<T>> snapshot =
-      memo->load(std::memory_order_acquire);
-  auto found = snapshot->find(key);
-  if (found != snapshot->end()) {
-    future = found->second;
-  } else {
-    // Miss: register the build under the epoch-local mutex so concurrent
-    // missers for the same key share one build. The lock guards only the
-    // copy-on-write insert — the build itself runs outside it.
+  {
+    // Find or register the key's build; concurrent missers for the same
+    // key share the first one's future, and the build runs unlocked.
     MutexLock lock(build_mu_);
-    snapshot = memo->load(std::memory_order_acquire);
-    auto raced = snapshot->find(key);
-    if (raced != snapshot->end()) {
-      future = raced->second;
+    Memo<T>* memo;
+    if constexpr (std::is_same_v<T, Index>) {
+      memo = &indexes_;
     } else {
-      future = promise.get_future().share();
-      auto next = std::make_shared<Memo<T>>(*snapshot);
-      next->emplace(key, future);
-      memo->store(std::shared_ptr<const Memo<T>>(std::move(next)),
-                  std::memory_order_release);
-      builder = true;
+      memo = &replicates_;
     }
+    auto [it, inserted] = memo->try_emplace(key, promise.get_future());
+    builder = inserted;
+    future = it->second;
   }
 
   if (hit != nullptr) *hit = !builder;
@@ -104,8 +91,8 @@ Result<std::shared_ptr<const T>> SampleEpoch::Memoized(
 Result<std::shared_ptr<const Index>> SampleEpoch::SampleIndex(
     const IndexDescriptor& descriptor, const IndexBuildOptions& build) const {
   bool hit = false;
-  Result<std::shared_ptr<const Index>> index = Memoized<Index>(
-      &indexes_, SampleIndexCacheKey(descriptor), &hit, [&] {
+  Result<std::shared_ptr<const Index>> index =
+      Memoized<Index>(SampleIndexCacheKey(descriptor), &hit, [&] {
         trace::Span span("engine.index_build");
         return Index::Build(*sample_, descriptor, build);
       });
@@ -125,7 +112,7 @@ SampleEpoch::ReplicateIndexes(const IndexDescriptor& descriptor,
   // count.
   const std::string key =
       SampleIndexCacheKey(descriptor) + ':' + std::to_string(groups);
-  return Memoized<std::vector<Index>>(&replicates_, key, nullptr, [&] {
+  return Memoized<std::vector<Index>>(key, nullptr, [&] {
     return BuildGroupIndexes(*sample_, descriptor, groups, build);
   });
 }
@@ -136,20 +123,30 @@ void SampleEpoch::SeedIndex(const std::string& key,
   entry.value = std::move(index);
   std::promise<Built<Index>> promise;
   promise.set_value(std::move(entry));
-  auto current = indexes_.load(std::memory_order_relaxed);
-  auto next = std::make_shared<IndexMap>(*current);
-  next->insert_or_assign(key, promise.get_future().share());
-  indexes_.store(std::shared_ptr<const IndexMap>(std::move(next)),
-                 std::memory_order_release);
+  MutexLock lock(build_mu_);
+  indexes_.insert_or_assign(key, promise.get_future().share());
+}
+
+void SampleEpoch::CarryMemosFrom(const SampleEpoch& predecessor) {
+  // Copy first, then install: no thread ever holds two epochs' build_mu_.
+  IndexMap indexes;
+  ReplicateMap replicates;
+  {
+    MutexLock lock(predecessor.build_mu_);
+    indexes = predecessor.indexes_;
+    replicates = predecessor.replicates_;
+  }
+  MutexLock lock(build_mu_);
+  indexes_ = std::move(indexes);
+  replicates_ = std::move(replicates);
 }
 
 std::vector<std::pair<std::string, std::shared_ptr<const Index>>>
 SampleEpoch::ReadyIndexes() const {
-  std::shared_ptr<const IndexMap> snapshot =
-      indexes_.load(std::memory_order_acquire);
+  MutexLock lock(build_mu_);
   std::vector<std::pair<std::string, std::shared_ptr<const Index>>> ready;
-  ready.reserve(snapshot->size());
-  for (const auto& [key, future] : *snapshot) {
+  ready.reserve(indexes_.size());
+  for (const auto& [key, future] : indexes_) {
     if (future.wait_for(std::chrono::seconds(0)) !=
         std::future_status::ready) {
       continue;  // in-flight build: the successor rebuilds on demand
@@ -162,7 +159,8 @@ SampleEpoch::ReadyIndexes() const {
 }
 
 uint64_t SampleEpoch::CachedIndexCount() const {
-  return indexes_.load(std::memory_order_acquire)->size();
+  MutexLock lock(build_mu_);
+  return indexes_.size();
 }
 
 }  // namespace cfest

@@ -1,31 +1,37 @@
 // Copyright (c) the samplecf authors. Licensed under the MIT license.
 //
-// SampleEpoch — the immutable, refcounted read-path state of one engine
-// sample generation.
+// SampleEpoch — the refcounted read-path state of one engine sample
+// generation.
 //
 // The engine used to keep one mutable sample (view + cached sorted sample
 // indexes) behind its mutex, which forced every refresh (NotifyAppend /
 // sample growth) to quiesce all in-flight estimates. An epoch snapshot breaks
-// that coupling, RCU-style:
+// that coupling:
 //
 //   - Everything an estimate reads — the sample view, the table-size
 //     snapshot the full-index scaling uses, the sample version, and the
-//     per-key-set sorted-index cache — lives in one immutable SampleEpoch.
-//   - Readers pin the current epoch with a single atomic shared_ptr load
-//     (EstimationEngine::PinEpoch) and never touch the engine mutex on the
-//     steady-state path.
-//   - Writers build the successor epoch off to the side, under the engine's
-//     writer mutex, and publish it with one atomic store. The old epoch
-//     stays fully valid until its last pinned reader drops it; its
-//     destruction is counted in EpochCounters::epochs_retired.
+//     per-key-set sorted-index cache — hangs off one SampleEpoch whose
+//     sample never changes after publication.
+//   - Readers pin the current epoch by copying the engine's shared_ptr
+//     under a small mutex that guards only that pointer
+//     (EstimationEngine::PinEpoch); they never take the engine's writer
+//     mutex.
+//   - Writers build the successor epoch off to the side, under the writer
+//     mutex, and publish it by swapping the pointer under the same small
+//     mutex. The old epoch stays fully valid until its last pinned reader
+//     drops it; its destruction is counted in EpochCounters::epochs_retired.
 //
 // The epoch's index cache (and its memo of the adaptive interval's
-// replicate builds) is itself lock-free on the hit path: the map of
-// built indexes is an immutable snapshot behind an atomic shared_ptr,
-// copied-on-insert under a small per-epoch build mutex. Concurrent first
-// requests for the same key set share one build through a shared_future —
+// replicate builds) are plain maps under a per-epoch build mutex. A lookup
+// registers a shared_future under that mutex and runs the build outside
+// it, so concurrent first requests for the same key set share one build —
 // the engine-level half of request coalescing (estimator/coalesce.h is the
 // service-level half).
+//
+// Plain mutexes, not atomic shared_ptrs: libstdc++ 12 implements the
+// atomic shared_ptr specialization with an internal lock bit
+// (is_always_lock_free is false), so it never gave readers a lock-free
+// path, and ThreadSanitizer cannot order that lock bit's relaxed release.
 //
 // Estimates are a pure function of the pinned epoch, so any result computed
 // while appends stream in is bit-identical to a quiesced run at the same
@@ -36,7 +42,6 @@
 #define CFEST_ESTIMATOR_EPOCH_H_
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <future>
 #include <memory>
@@ -58,10 +63,8 @@ namespace cfest {
 /// epoch it ever published (epochs can outlive the engine while pinned, so
 /// the counter block is refcounted).
 ///
-/// All fields are sharded metrics::Counter objects: the estimate path
-/// increments them without any lock, which is what lets tests assert
-/// lock-freedom by counting — a steady-state estimate bumps
-/// lock_free_pins, never locked_pins. The constructor registers every
+/// All fields are sharded metrics::Counter objects, so the estimate path
+/// increments them without any lock. The constructor registers every
 /// field with the process-wide MetricRegistry under `cfest.engine.*` —
 /// labeled {table=<name>} when the engine was given a table name, as the
 /// unlabeled child otherwise — so CacheStats (which reads these same
@@ -84,8 +87,6 @@ struct EpochCounters {
              {"cfest.engine.index_extensions", &index_extensions},
              {"cfest.engine.invalidations", &invalidations},
              {"cfest.engine.refreshes", &refreshes},
-             {"cfest.engine.lock_free_pins", &lock_free_pins},
-             {"cfest.engine.locked_pins", &locked_pins},
              {"cfest.engine.epochs_published", &epochs_published},
              {"cfest.engine.epochs_retired", &epochs_retired}})) {
     for (size_t i = 0; i < kCompressionTypeCount; ++i) {
@@ -110,10 +111,6 @@ struct EpochCounters {
   metrics::Counter invalidations;
   /// NotifyAppend calls that changed the reservoir contents.
   metrics::Counter refreshes;
-  /// Epoch pins served by the lock-free atomic load (steady state).
-  metrics::Counter lock_free_pins;
-  /// Epoch pins that fell through to the writer mutex (first draw only).
-  metrics::Counter locked_pins;
   metrics::Counter epochs_published;
   /// Epochs destroyed after their last reader unpinned them.
   metrics::Counter epochs_retired;
@@ -127,8 +124,8 @@ struct EpochCounters {
       scheme_registrations;
 };
 
-/// \brief One immutable sample generation: the view, the sizing snapshot,
-/// and the per-key-set sorted-index cache.
+/// \brief One sample generation: the view, the sizing snapshot, and the
+/// per-key-set sorted-index cache.
 ///
 /// Thread-safe for any number of concurrent readers; nothing observable
 /// mutates after publication (the index cache only memoizes pure builds).
@@ -157,9 +154,9 @@ class SampleEpoch {
 
   /// The sorted sample index for `descriptor`, built at most once per
   /// distinct (key_columns, clustered) pair for this epoch's sample. The
-  /// hit path is lock-free (atomic snapshot load); a miss takes the
-  /// epoch-local build mutex only to register the build, and concurrent
-  /// missers for the same key share the one build via a shared_future.
+  /// lookup holds the epoch-local build mutex only to find or register the
+  /// key's shared_future; the build runs outside it, and concurrent
+  /// missers for the same key share the one build.
   Result<std::shared_ptr<const Index>> SampleIndex(
       const IndexDescriptor& descriptor, const IndexBuildOptions& build) const;
 
@@ -188,44 +185,48 @@ class SampleEpoch {
   using IndexMap = Memo<Index>;
   using ReplicateMap = Memo<std::vector<Index>>;
 
-  /// The copy-on-write memo behind SampleIndex and ReplicateIndexes:
-  /// returns `key`'s value, running `build` (a callable returning
-  /// Result<T>) only if no other caller registered the key first. `hit`,
-  /// if not null, reports whether the value came from the memo.
+  /// The memo behind SampleIndex (T = Index) and ReplicateIndexes
+  /// (T = std::vector<Index>): returns `key`'s value, running `build` (a
+  /// callable returning Result<T>) only if no other caller registered the
+  /// key first. `hit`, if not null, reports whether the value came from
+  /// the memo.
   template <typename T, typename BuildFn>
-  Result<std::shared_ptr<const T>> Memoized(
-      std::atomic<std::shared_ptr<const Memo<T>>>* memo,
-      const std::string& key, bool* hit, BuildFn build) const;
+  Result<std::shared_ptr<const T>> Memoized(const std::string& key, bool* hit,
+                                            BuildFn build) const
+      EXCLUDES(build_mu_);
 
   SampleEpoch(std::shared_ptr<const TableView> sample, uint64_t version,
               uint64_t table_rows, std::shared_ptr<EpochCounters> counters);
 
-  /// Pre-publication seeding (growth's sorted-run extensions land here
-  /// before the epoch is visible to any reader; no synchronization needed).
-  void SeedIndex(const std::string& key, std::shared_ptr<const Index> index);
+  /// Pre-publication seeding: growth's sorted-run extensions land here
+  /// before the epoch is visible to any reader.
+  void SeedIndex(const std::string& key, std::shared_ptr<const Index> index)
+      EXCLUDES(build_mu_);
+
+  /// Pre-publication carry-over for a successor with the same sample: copies
+  /// `predecessor`'s index and replicate memos, in-flight builds included
+  /// (both epochs then share each build's shared_future).
+  void CarryMemosFrom(const SampleEpoch& predecessor) EXCLUDES(build_mu_);
 
   /// Snapshot of the (key, index) pairs whose builds have completed
   /// successfully — what a successor epoch may extend. Never blocks on
   /// in-flight builds.
   std::vector<std::pair<std::string, std::shared_ptr<const Index>>>
-  ReadyIndexes() const;
+  ReadyIndexes() const EXCLUDES(build_mu_);
 
   /// Entries currently cached (ready or in flight), for invalidation
   /// accounting when a refresh drops the cache.
-  uint64_t CachedIndexCount() const;
+  uint64_t CachedIndexCount() const EXCLUDES(build_mu_);
 
   std::shared_ptr<const TableView> sample_;
   uint64_t version_ = 0;
   uint64_t table_rows_ = 0;
   std::shared_ptr<EpochCounters> counters_;
 
-  /// Immutable snapshot maps, copied-on-insert under build_mu_. Atomic
-  /// (not GUARDED_BY): the hit path reads them lock-free by design;
-  /// build_mu_ serializes only the copy-on-write registration of new
-  /// builds.
-  mutable std::atomic<std::shared_ptr<const IndexMap>> indexes_;
-  mutable std::atomic<std::shared_ptr<const ReplicateMap>> replicates_;
+  /// Guards the two memos; never held while a build runs.
   mutable Mutex build_mu_;
+  mutable IndexMap indexes_ GUARDED_BY(build_mu_);
+  mutable ReplicateMap replicates_ GUARDED_BY(build_mu_);
 };
 
 }  // namespace cfest

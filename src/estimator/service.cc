@@ -104,9 +104,9 @@ Result<std::vector<SizedCandidate>> CatalogEstimationService::EstimateAll(
   // of a table is sized against the same refcounted sample snapshot, so
   // the batch stays internally consistent (and bit-identical to a
   // quiesced run at those epochs) even while appends stream in
-  // concurrently. Pinning is the lock-free fast path after each engine's
-  // first draw; the draw itself happens here, before fan-out, so worker
-  // lambdas never fall through to the writer mutex.
+  // concurrently. After each engine's first draw a pin only copies the
+  // published pointer; the draw itself happens here, before fan-out, so
+  // worker lambdas never fall through to the writer mutex.
   //
   // Coalesced admission follows: structurally identical candidates at the
   // same epoch — within this batch or racing in from concurrent
@@ -249,8 +249,6 @@ CatalogEstimationService::Stats CatalogEstimationService::stats() const {
       stats.index_cache_hits += s.index_cache_hits;
       stats.invalidations += s.invalidations;
       stats.refreshes += s.refreshes;
-      stats.lock_free_pins += s.lock_free_pins;
-      stats.locked_pins += s.locked_pins;
       stats.epochs_published += s.epochs_published;
       stats.epochs_retired += s.epochs_retired;
     }

@@ -149,10 +149,6 @@ class CatalogEstimationService {
     /// Effective reservoir refreshes (NotifyAppend calls that changed a
     /// reservoir) summed across engines; sample growth does not count.
     uint64_t refreshes = 0;
-    /// Epoch pins served lock-free vs through the writer mutex (summed;
-    /// locked pins only ever happen on initial draws).
-    uint64_t lock_free_pins = 0;
-    uint64_t locked_pins = 0;
     uint64_t epochs_published = 0;
     uint64_t epochs_retired = 0;
     /// Coalescer traffic: total requests, computations actually run, and

@@ -3,8 +3,10 @@
 // equality, thread-pool determinism, and the engine-backed consumers.
 
 #include <atomic>
+#include <barrier>
 #include <memory>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -252,6 +254,49 @@ TEST(EngineTest, DescriptorNameDoesNotDefeatTheCache) {
   ASSERT_TRUE(build({"d", {"status", "city"}, false}));
   ASSERT_TRUE(build({"e", {"city", "status"}, false}));
   EXPECT_EQ(4u, engine.cache_stats().index_builds);
+}
+
+// Eight threads asking one pinned epoch for the same key set at once share
+// one build: the first registers it, the rest wait for it and hold the very
+// same object. The replicate memo behind the adaptive interval does the same.
+TEST(EngineTest, ConcurrentMissesOnOnePinnedEpochShareOneBuild) {
+  auto table = WorkloadTable();
+  EstimationEngineOptions engine_options;
+  engine_options.base.fraction = 0.02;
+  EstimationEngine engine(*table, engine_options);
+  auto epoch = engine.PinEpoch();
+  ASSERT_TRUE(epoch.ok());
+  const IndexDescriptor descriptor{"ix", {"city", "status"}, false};
+  constexpr int kThreads = 8;
+  constexpr uint32_t kGroups = 4;
+  std::vector<std::shared_ptr<const Index>> indexes(kThreads);
+  std::vector<std::shared_ptr<const std::vector<Index>>> replicates(kThreads);
+  std::barrier start(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      auto index = engine.SampleIndexAt(**epoch, descriptor);
+      if (index.ok()) indexes[t] = *index;
+      start.arrive_and_wait();
+      auto groups = (*epoch)->ReplicateIndexes(descriptor, kGroups,
+                                               engine.options().base.build);
+      if (groups.ok()) replicates[t] = *groups;
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  const EstimationEngine::CacheStats stats = engine.cache_stats();
+  EXPECT_EQ(1u, stats.index_builds);
+  EXPECT_EQ(static_cast<uint64_t>(kThreads - 1), stats.index_cache_hits);
+  ASSERT_NE(nullptr, indexes[0]);
+  ASSERT_NE(nullptr, replicates[0]);
+  EXPECT_EQ(kGroups, replicates[0]->size());
+  for (int t = 1; t < kThreads; ++t) {
+    EXPECT_EQ(indexes[0], indexes[t]) << "thread " << t;
+    EXPECT_EQ(replicates[0], replicates[t]) << "thread " << t;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -417,8 +417,6 @@ TEST(MetricsParityTest, EngineCacheStatsMatchesRegistryDeltas) {
   EXPECT_EQ(delta("cfest.engine.index_builds"), stats.index_builds);
   EXPECT_EQ(delta("cfest.engine.index_cache_hits"), stats.index_cache_hits);
   EXPECT_EQ(delta("cfest.engine.index_extensions"), stats.index_extensions);
-  EXPECT_EQ(delta("cfest.engine.lock_free_pins"), stats.lock_free_pins);
-  EXPECT_EQ(delta("cfest.engine.locked_pins"), stats.locked_pins);
   EXPECT_EQ(delta("cfest.engine.epochs_published"), stats.epochs_published);
   EXPECT_GT(stats.samples_drawn, 0u);
   EXPECT_GT(stats.index_builds, 0u);

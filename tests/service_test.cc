@@ -541,8 +541,8 @@ TEST(ReservoirEngineTest, RejectedAppendInvalidatesNothing) {
 //   2. every estimate produced against a pinned epoch, replayed after all
 //      writers quiesce against the SAME epoch object, is bit-identical —
 //      estimates are pure functions of the epoch;
-//   3. after the warm-up draw, every pin took the lock-free path (the
-//      writer mutex is never touched by steady-state estimates).
+//   3. each engine drew its sample exactly once (the warm-up): appends and
+//      growth publish successor epochs, they never redraw.
 TEST(ConcurrentServiceTest, EstimatesStayEpochConsistentUnderAppendsAndGrowth) {
   auto catalog = TwoTableCatalog();
   CatalogEstimationServiceOptions options;
@@ -659,13 +659,10 @@ TEST(ConcurrentServiceTest, EstimatesStayEpochConsistentUnderAppendsAndGrowth) {
     }
   }
 
-  // Lock-freedom by counting: each engine fell through to the writer mutex
-  // exactly once (its initial draw); every pin after that was the atomic
-  // fast path.
-  EXPECT_EQ(1u, (*orders_engine)->cache_stats().locked_pins);
-  EXPECT_EQ(1u, (*lineitem_engine)->cache_stats().locked_pins);
+  // One draw per engine: every later epoch came from a refresh or a growth.
+  EXPECT_EQ(1u, (*orders_engine)->cache_stats().samples_drawn);
+  EXPECT_EQ(1u, (*lineitem_engine)->cache_stats().samples_drawn);
   const CatalogEstimationService::Stats stats = service.stats();
-  EXPECT_GT(stats.lock_free_pins, 0u);
   EXPECT_EQ(stats.coalesce_requests,
             stats.coalesce_admitted + stats.coalesce_merged);
 }

@@ -75,7 +75,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -600,17 +599,16 @@ Result<CandidateConfiguration> ParseCatalogCandidateLine(
         ": expected \"table key-cols scheme [clustered] [benefit]\", got \"" +
         line + "\"");
   }
-  // The last token may be a numeric benefit weight.
+  // The last token may be a finite decimal benefit weight; anything else
+  // ("nan", "inf", hex) stays a token, which the candidate parse rejects.
   std::istringstream rest_in(rest);
   std::vector<std::string> tokens;
   std::string token;
   while (rest_in >> token) tokens.push_back(token);
   double benefit = 1.0;
   if (!tokens.empty()) {
-    char* end = nullptr;
-    const double parsed = std::strtod(tokens.back().c_str(), &end);
-    if (end != nullptr && *end == '\0' && end != tokens.back().c_str()) {
-      benefit = parsed;
+    if (Result<double> parsed = ParseDouble(tokens.back()); parsed.ok()) {
+      benefit = *parsed;
       tokens.pop_back();
     }
   }
